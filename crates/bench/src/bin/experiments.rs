@@ -150,10 +150,8 @@ fn run_smoke() {
         eprintln!("error: jobs-sweep records missing or areas differ across job counts");
         std::process::exit(1);
     }
-    // ...and the engine-core record comparing the modern default CDCL
-    // engine against the classic loop on nand4: the new engine counters
-    // must reach the JSONL, and the modern core must hold its speedup
-    // bar (acceptance target 1.3x; the observed gap is well above it).
+    // ...and the engine-core record of the CDCL loop on nand4: its
+    // learned-database counters must reach the JSONL.
     let engine = text
         .lines()
         .filter_map(|line| clip_layout::jsonio::parse(line).ok())
@@ -164,7 +162,6 @@ fn run_smoke() {
             std::process::exit(1);
         }
         Some(v) => {
-            let speedup = v.get("speedup").and_then(|s| s.as_f64()).unwrap_or(0.0);
             let kept = v.get("learned_kept").and_then(|k| k.as_u64());
             let deleted = v.get("learned_deleted").and_then(|d| d.as_u64());
             let restarts = v.get("restarts").and_then(|r| r.as_u64());
@@ -173,13 +170,7 @@ fn run_smoke() {
                 .and_then(|h| h.as_arr())
                 .map_or(0, <[clip_layout::jsonio::Json]>::len);
             if kept.is_none() || deleted.is_none() || restarts.is_none() || hist_len == 0 {
-                eprintln!("error: engine_core record is missing the modern engine counters");
-                std::process::exit(1);
-            }
-            if speedup < 1.3 {
-                eprintln!(
-                    "error: modern engine speedup {speedup:.2}x on nand4 is below the 1.3x bar"
-                );
+                eprintln!("error: engine_core record is missing the CDCL engine counters");
                 std::process::exit(1);
             }
         }

@@ -160,10 +160,10 @@ impl Report {
     }
 }
 
-/// One modern-default CDCL solve of `model`, returning its stats so the
-/// smoke JSONL can embed the engine-core counters (restarts, learned-DB
-/// churn, PLBD histogram).
-fn solve_modern_stats(model: &clip_pb::Model) -> clip_pb::SolveStats {
+/// One CDCL solve of `model` without a brancher, returning the proved
+/// optimum and its stats so the smoke JSONL can embed the engine-core
+/// counters (restarts, learned-DB churn, PLBD histogram).
+fn solve_cdcl_stats(model: &clip_pb::Model) -> (i64, clip_pb::SolveStats) {
     use clip_pb::{SearchStrategy, Solver, SolverConfig};
     let out = Solver::with_config(
         model,
@@ -173,7 +173,8 @@ fn solve_modern_stats(model: &clip_pb::Model) -> clip_pb::SolveStats {
         },
     )
     .run();
-    out.stats().clone()
+    assert!(out.is_optimal());
+    (out.best().expect("optimal").objective, out.stats().clone())
 }
 
 /// The smoke benchmark suite: one quick case per workload family the
@@ -260,90 +261,54 @@ pub fn smoke() -> Report {
     }
 
     // bench_solver: strategy and heuristic ablations on the xor2 model.
-    // `Cbj` and `Cdcl` pin the committed classic search loops; `evsids`
-    // is the modern default engine core (EVSIDS activity branching, Luby
-    // restarts, PLBD-managed learned deletion) on the same CDCL strategy.
+    // `Cbj` is the reference search loop; `evsids` is the CDCL loop
+    // (EVSIDS activity branching, Luby restarts, PLBD-managed learned
+    // deletion).
     {
         let (units, share) = setup(library::xor2);
         let clipw = ClipW::build(&units, &share, &ClipWOptions::new(2)).expect("builds");
-        for (name, strategy, classic) in [
-            ("Cbj", SearchStrategy::Cbj, true),
-            ("Cdcl", SearchStrategy::Cdcl, true),
-            ("evsids", SearchStrategy::Cdcl, false),
+        for (name, strategy) in [
+            ("Cbj", SearchStrategy::Cbj),
+            ("evsids", SearchStrategy::Cdcl),
         ] {
             report.run(&format!("solver_strategy/{name}"), opts, || {
-                let mut config = SolverConfig {
+                let config = SolverConfig {
                     strategy,
                     brancher: Some(clipw.brancher()),
                     ..Default::default()
                 };
-                if classic {
-                    config = config.classic();
-                }
                 let out = Solver::with_config(clipw.model(), config).run();
                 assert!(out.is_optimal());
                 out.best().expect("optimal").objective
             });
         }
-        // Engine-core ablation on nand4-class models, without the
-        // structure brancher so the search heuristics themselves compete:
-        // the committed classic CDCL loop (static branching, no restarts,
-        // keep-everything learned DB) against the modern default core.
-        // Both must prove the same optimum; the extras line carries the
-        // medians plus the modern run's new stats fields (restarts,
-        // learned_kept/deleted, PLBD histogram) so the CI smoke check can
-        // grep them and hold the modern core to its speedup bar.
+        // The CDCL loop on a nand4-class model without the structure
+        // brancher, so its own branching heuristic does the work. The
+        // extras line carries its median plus its learned-database
+        // counters (restarts, learned_kept/deleted, PLBD histogram) so
+        // the CI smoke check can grep them.
         let (nunits, nshare) = setup(library::nand4);
         let nand4 = ClipW::build(&nunits, &nshare, &ClipWOptions::new(2)).expect("builds");
-        let mut medians = [0i64; 2];
-        let mut objectives = [0i64; 2];
-        for (slot, (label, classic)) in [("Cdcl_nand4", true), ("evsids_nand4", false)]
-            .into_iter()
-            .enumerate()
-        {
-            let solve = || {
-                let mut config = SolverConfig {
-                    strategy: SearchStrategy::Cdcl,
-                    ..Default::default()
-                };
-                if classic {
-                    config = config.classic();
-                }
-                let out = Solver::with_config(nand4.model(), config).run();
-                assert!(out.is_optimal());
-                out
-            };
-            report.run(&format!("solver_strategy/{label}"), opts, || {
-                solve().best().expect("optimal").objective
-            });
-            medians[slot] = report
-                .measurements
-                .last()
-                .expect("just recorded")
-                .median
-                .as_nanos() as i64;
-            objectives[slot] = solve().best().expect("optimal").objective;
-        }
-        assert_eq!(
-            objectives[0], objectives[1],
-            "classic and modern engines must prove the same nand4 optimum"
-        );
-        let modern = solve_modern_stats(nand4.model());
+        report.run("solver_strategy/evsids_nand4", opts, || {
+            solve_cdcl_stats(nand4.model()).0
+        });
+        let median = report
+            .measurements
+            .last()
+            .expect("just recorded")
+            .median
+            .as_nanos() as i64;
+        let (objective, stats) = solve_cdcl_stats(nand4.model());
         report.extras.push(Json::obj([
             ("name", Json::Str("engine_core/nand4x2".into())),
-            ("classic_median_ns", Json::Int(medians[0])),
-            ("modern_median_ns", Json::Int(medians[1])),
-            (
-                "speedup",
-                Json::Float(medians[0] as f64 / medians[1].max(1) as f64),
-            ),
-            ("objective", Json::Int(objectives[1])),
-            ("restarts", Json::Int(modern.restarts as i64)),
-            ("learned_kept", Json::Int(modern.learned_kept as i64)),
-            ("learned_deleted", Json::Int(modern.learned_deleted as i64)),
+            ("median_ns", Json::Int(median)),
+            ("objective", Json::Int(objective)),
+            ("restarts", Json::Int(stats.restarts as i64)),
+            ("learned_kept", Json::Int(stats.learned_kept as i64)),
+            ("learned_deleted", Json::Int(stats.learned_deleted as i64)),
             (
                 "plbd_hist",
-                Json::arr(&modern.plbd_hist, |&n| Json::Int(n as i64)),
+                Json::arr(&stats.plbd_hist, |&n| Json::Int(n as i64)),
             ),
         ]));
         for heuristic in [BranchHeuristic::InputOrder, BranchHeuristic::DynamicScore] {

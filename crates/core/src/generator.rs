@@ -81,21 +81,6 @@ pub struct GenOptions {
     /// hardcoded behavior exactly; see [`crate::tuning`] for the
     /// speed-not-results constraints on each lever.
     pub tuning: TuningPlan,
-    /// Typed constraint-theory engines in the solver (default `true`).
-    /// The engines change propagation *speed only, never results* — the
-    /// `--no-theories` escape hatch exists so a theory-engine bug can be
-    /// bisected without touching anything else. See
-    /// [`clip_pb::ConstraintClass`].
-    pub use_theories: bool,
-    /// Disables the modern CDCL engine core (EVSIDS activity branching,
-    /// Luby restarts, PLBD-managed learned-constraint deletion) in every
-    /// solver the pipeline spawns, falling back to the classic
-    /// exhaustive-rescan search loop (default `false`). The modern core
-    /// changes *speed only, never results*: proved-optimal objectives and
-    /// the emitted placements are pinned equal either way. The
-    /// `--classic-search` escape hatch exists so an engine-core bug can
-    /// be bisected without touching anything else.
-    pub classic_search: bool,
 }
 
 /// The default worker count: one per available core.
@@ -114,8 +99,6 @@ impl GenOptions {
             jobs: default_jobs(),
             jobs_explicit: false,
             tuning: TuningPlan::default(),
-            use_theories: true,
-            classic_search: false,
         }
     }
 
@@ -124,13 +107,6 @@ impl GenOptions {
     /// below mutate the same spec field-by-field.
     pub fn with_objective(mut self, spec: ObjectiveSpec) -> Self {
         self.objective = spec;
-        self
-    }
-
-    /// Disables the typed constraint-theory engines (all rows ride the
-    /// generic slack path). Results are identical either way.
-    pub fn without_theories(mut self) -> Self {
-        self.use_theories = false;
         self
     }
 
@@ -149,14 +125,6 @@ impl GenOptions {
     pub fn with_explicit_jobs(mut self, jobs: NonZeroUsize) -> Self {
         self.jobs = jobs;
         self.jobs_explicit = true;
-        self
-    }
-
-    /// Disables the modern CDCL engine core (EVSIDS + restarts + learned
-    /// deletion), falling back to the classic search loop. Results are
-    /// identical either way.
-    pub fn with_classic_search(mut self) -> Self {
-        self.classic_search = true;
         self
     }
 
@@ -416,13 +384,12 @@ impl CellGenerator {
             })?;
             let warm = seed.and_then(|p| wh.clipw().warm_assignment(&units, &p));
             let out = pipeline.stage(Stage::Solve, |budget, rec| {
-                let base = self.engine_config(SolverConfig {
+                let base = SolverConfig {
                     brancher: Some(wh.brancher()),
                     heuristic: BranchHeuristic::InputOrder,
                     warm_start: warm,
-                    use_theories: self.options.use_theories,
                     ..Default::default()
-                });
+                };
                 self.solve_stage(wh.model(), base, budget, cancel, rec)
             });
             let optimal = out.is_optimal();
@@ -474,12 +441,11 @@ impl CellGenerator {
                 .min_by_key(|p| p.cell_width(&units))
                 .and_then(|p| clipw.warm_assignment(&units, &p));
             let out = pipeline.stage(Stage::Solve, |budget, rec| {
-                let base = self.engine_config(SolverConfig {
+                let base = SolverConfig {
                     brancher: Some(clipw.brancher()),
                     warm_start: warm,
-                    use_theories: self.options.use_theories,
                     ..Default::default()
-                });
+                };
                 self.solve_stage(clipw.model(), base, budget, cancel, rec)
             });
             let optimal = out.is_optimal();
@@ -683,16 +649,6 @@ impl CellGenerator {
         Some(width * height)
     }
 
-    /// Applies the `--classic-search` escape hatch to a stage's base
-    /// solver configuration.
-    fn engine_config(&self, base: SolverConfig) -> SolverConfig {
-        if self.options.classic_search {
-            base.classic()
-        } else {
-            base
-        }
-    }
-
     /// Runs one Solve stage through the strategy portfolio sized by
     /// [`GenOptions::jobs`] and annotates `rec` with the combined stats,
     /// the winning strategy, and the per-thread breakdown. A `cancel`
@@ -759,16 +715,15 @@ impl CellGenerator {
             .and_then(|p| model.warm_assignment(&stacked, &p));
         let out = Solver::with_config(
             model.model(),
-            self.engine_config(SolverConfig {
+            SolverConfig {
                 brancher: Some(model.brancher()),
                 warm_start: warm,
                 budget: budget.slice(
                     self.options.tuning.seed_slice.unwrap_or(4),
                     Duration::from_secs(5),
                 ),
-                use_theories: self.options.use_theories,
                 ..Default::default()
-            }),
+            },
         )
         .run();
         rec.solve = Some(out.stats().clone());

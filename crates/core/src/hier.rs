@@ -48,12 +48,6 @@ pub struct HierOptions {
     /// wall-clock time: results are merged in partition order. Defaults
     /// to [`std::thread::available_parallelism`].
     pub jobs: NonZeroUsize,
-    /// Typed constraint-theory engines in the sub-cell solves (default
-    /// `true`; speed only, never results).
-    pub use_theories: bool,
-    /// Classic search loop in the sub-cell solves instead of the modern
-    /// CDCL engine core (default `false`; speed only, never results).
-    pub classic_search: bool,
 }
 
 impl HierOptions {
@@ -64,8 +58,6 @@ impl HierOptions {
             stacking: false,
             time_limit: Some(Duration::from_secs(30)),
             jobs: crate::generator::default_jobs(),
-            use_theories: true,
-            classic_search: false,
         }
     }
 
@@ -153,8 +145,6 @@ pub fn generate(circuit: Circuit, opts: &HierOptions) -> Result<HierCell, GenErr
     let mut options = crate::generator::GenOptions::rows(opts.rows).with_jobs(opts.jobs);
     options.stacking = opts.stacking;
     options.time_limit = opts.time_limit;
-    options.use_theories = opts.use_theories;
-    options.classic_search = opts.classic_search;
     let result = crate::request::SynthRequest::with_options(circuit, options)
         .hierarchical()
         .build()?;
@@ -203,13 +193,7 @@ pub fn generate_units_with_budget(
             brancher: Some(model.brancher()),
             warm_start: warm,
             budget: budget.clone(),
-            use_theories: opts.use_theories,
             ..Default::default()
-        };
-        let config = if opts.classic_search {
-            config.classic()
-        } else {
-            config
         };
         let out = Solver::with_config(model.model(), config).run();
         let sol = out.best().ok_or(GenError::NoSolution)?;

@@ -143,7 +143,7 @@ pub struct StageRecord {
     /// Worker threads used by the stage (portfolio width, or the
     /// best-area sweep's fan-out on its [`Stage::Sweep`] record).
     pub threads: Option<usize>,
-    /// Strategy that won the stage's solve (`"cbj"`, `"cdcl"`, ...).
+    /// Strategy that won the stage's solve (`"cbj"`, `"evsids"`, ...).
     pub winner_strategy: Option<String>,
     /// Shared-bound prune events in this stage: bound adoptions for a
     /// portfolio solve, rows skipped or cancelled for a sweep record.

@@ -190,15 +190,6 @@ impl SynthRequest {
         self
     }
 
-    /// Disables the typed constraint-theory engines — every row rides the
-    /// generic slack path. Results are identical either way (the engines
-    /// change speed, never placements); the flag exists so a theory bug
-    /// can be bisected without touching anything else.
-    pub fn no_theories(mut self) -> Self {
-        self.options.use_theories = false;
-        self
-    }
-
     /// Sets the worker-thread count explicitly. An explicit count always
     /// wins over a profile's `jobs` advice, and bypasses the small-sweep
     /// fan-out gate (see [`GenOptions::jobs_explicit`]).
@@ -206,17 +197,6 @@ impl SynthRequest {
         self.options.jobs = jobs;
         self.options.jobs_explicit = true;
         self.explicit_jobs = true;
-        self
-    }
-
-    /// Disables the modern CDCL engine core (EVSIDS activity branching,
-    /// Luby restarts, PLBD-managed learned-constraint deletion) in every
-    /// solver the request spawns, falling back to the classic search
-    /// loop. Results are identical either way (the engine core changes
-    /// speed, never placements); the flag exists so an engine-core bug
-    /// can be bisected without touching anything else.
-    pub fn classic_search(mut self) -> Self {
-        self.options.classic_search = true;
         self
     }
 
@@ -315,8 +295,6 @@ impl SynthRequest {
                     stacking: self.options.stacking,
                     time_limit: self.options.time_limit,
                     jobs: self.options.jobs,
-                    use_theories: self.options.use_theories,
-                    classic_search: self.options.classic_search,
                 };
                 let hier = pipeline.stage(Stage::Hier, |budget, rec| {
                     let result = crate::hier::generate_units_with_budget(units, &hopts, budget);
@@ -480,7 +458,7 @@ mod tests {
     #[test]
     fn tuned_solve_stages_are_stamped() {
         let plan = TuningPlan {
-            portfolio: Some(vec!["cdcl".into()]),
+            portfolio: Some(vec!["evsids".into()]),
             ..TuningPlan::default()
         }
         .with_source("tiny-sparse-shallow-flat");
@@ -497,6 +475,6 @@ mod tests {
             .unwrap();
         let stamp = solve.tuning.as_deref().unwrap();
         assert!(stamp.contains("key=tiny-sparse-shallow-flat"), "{stamp}");
-        assert!(stamp.contains("portfolio=cdcl"), "{stamp}");
+        assert!(stamp.contains("portfolio=evsids"), "{stamp}");
     }
 }

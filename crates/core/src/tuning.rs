@@ -27,6 +27,10 @@
 use std::fmt;
 use std::num::NonZeroUsize;
 
+/// The portfolio strategy labels a plan may name, in the default racing
+/// order; anything else is dropped when the plan is applied.
+pub use clip_pb::portfolio::STRATEGIES;
+
 /// Stage-boundary tuning decisions for one generation request.
 ///
 /// The default plan (`TuningPlan::default()`) leaves every lever on
@@ -43,7 +47,7 @@ pub struct TuningPlan {
     /// skips the seed stage entirely (a zero-width slice).
     pub seed_slice: Option<u32>,
     /// Portfolio composition for solve stages, as strategy labels (see
-    /// `clip_pb::portfolio::STRATEGIES`). Sanitized before use: unknown
+    /// [`STRATEGIES`]). Sanitized before use: unknown
     /// labels are dropped and the reference strategy is forced first.
     /// `None` keeps the default order.
     pub portfolio: Option<Vec<String>>,
@@ -72,7 +76,7 @@ impl TuningPlan {
 impl fmt::Display for TuningPlan {
     /// Compact `k=v` rendering of the non-default levers, recorded on
     /// trace records so a run is attributable to the profile that shaped
-    /// it (e.g. `key=small-sparse-shallow-flat seed=off portfolio=cbj,cdcl`).
+    /// it (e.g. `key=small-sparse-shallow-flat seed=off portfolio=cbj,evsids`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_default() {
             return write!(f, "defaults");
@@ -113,14 +117,14 @@ mod tests {
         let plan = TuningPlan {
             hclip_seed: Some(false),
             seed_slice: Some(6),
-            portfolio: Some(vec!["cdcl".into(), "cbj".into()]),
+            portfolio: Some(vec!["evsids".into(), "cbj".into()]),
             jobs: NonZeroUsize::new(4),
             source: Some("small-sparse-shallow-flat".into()),
         };
         assert!(!plan.is_default());
         assert_eq!(
             plan.to_string(),
-            "key=small-sparse-shallow-flat seed=off slice=6 portfolio=cdcl,cbj jobs=4"
+            "key=small-sparse-shallow-flat seed=off slice=6 portfolio=evsids,cbj jobs=4"
         );
         let partial = TuningPlan {
             seed_slice: Some(2),

@@ -3,7 +3,7 @@
 //! Schema (optional fields omitted when absent):
 //!
 //! ```json
-//! {"schema": 5,
+//! {"schema": 6,
 //!  "stages": [
 //!   {"stage": "solve", "rows": 2, "wall_ns": 1234,
 //!    "model_vars": 56, "model_constraints": 78,
@@ -25,35 +25,29 @@
 //! `threads`, `winner_strategy`, and `shared_prunes` describe parallel
 //! search (a portfolio solve, or the best-area sweep's summary record);
 //! `thread_solves` carries the per-thread stats breakdown when a stage
-//! raced more than one solver. `shared_prunes` inside `solve` defaults to
-//! 0 when absent, so traces written before parallel search still parse.
+//! raced more than one solver.
 //!
 //! The document is versioned: writers emit `"schema":` [`TRACE_SCHEMA`].
-//! Version 2 added the per-stage `tuning` stamp (the compact rendering of
-//! the applied `TuningPlan`, present only on stages a plan shaped).
-//! Version 3 added the constraint-theory fields: the per-stage `classes`
-//! histogram (how the model's constraints classify into clause /
-//! at-most-one / cardinality / general-linear) and the `props_by_class` /
-//! `conflicts_by_class` counters inside solver stats; all three are
-//! omitted when empty and default to zero on parse, so older documents
-//! keep reading. Version 4 added the modern-CDCL engine counters inside
-//! solver stats: `restarts`, `learned_kept`, `learned_deleted`, and the
-//! `plbd_hist` array (learned constraints by PLBD bucket 1..=8, last
-//! bucket absorbing deeper; omitted when the engine recorded none);
-//! all default to zero/empty on parse. Version 5 added the optional
-//! `stop_reason` string inside solver stats (`"deadline"`,
-//! `"node_budget"`, `"cancelled"`, or `"panicked"` — why an unproved
-//! search stopped; omitted when the search ran to completion, `None` on
-//! parse when absent). Version 6 added the `"pareto"` stage and its
-//! per-point `pareto` array on the stage record: each entry carries the
-//! point's objective parameterization (`objective`, `track_pitch`,
-//! `diffusion_overhead`, `rail_overhead`, `interrow_weight`), its
-//! outcome (`width`/`tracks`/`height`, omitted when the point produced
-//! none), and the race flags (`proved`, `reused`, `pruned`,
-//! `on_frontier`, optional `dominated_by` index). The parser accepts
-//! versions 1 (with or without an explicit `schema` key, since version 1
-//! predates the key) through the current version and rejects any other
-//! rather than misreading a future layout.
+//! Optional fields are omitted when absent or empty and default on
+//! parse: on a stage, the `classes` histogram (how the model's
+//! constraints classify into clause / at-most-one / cardinality /
+//! general-linear) and the `tuning` stamp (the compact rendering of the
+//! applied `TuningPlan`, present only on stages a plan shaped); inside
+//! solver stats, the `props_by_class` / `conflicts_by_class` counters,
+//! the `plbd_hist` array (learned constraints by PLBD bucket 1..=8, last
+//! bucket absorbing deeper), and the `stop_reason` string
+//! (`"deadline"`, `"node_budget"`, `"cancelled"`, or `"panicked"` — why
+//! an unproved search stopped). Version 6 added the `"pareto"` stage
+//! and its per-point `pareto` array on the stage record: each entry
+//! carries the point's objective parameterization (`objective`,
+//! `track_pitch`, `diffusion_overhead`, `rail_overhead`,
+//! `interrow_weight`), its outcome (`width`/`tracks`/`height`, omitted
+//! when the point produced none), and the race flags (`proved`,
+//! `reused`, `pruned`, `on_frontier`, optional `dominated_by` index).
+//! The parser accepts the current version and the one before it (5,
+//! which lacks only the Pareto fields) and rejects any other version,
+//! or a document without a `schema` key, rather than misread a layout
+//! it does not know.
 //!
 //! Durations are integral nanoseconds, so emit → parse → emit is exact.
 //! `clip synth --trace FILE` writes this document, and the bench harness
@@ -71,13 +65,7 @@ use crate::jsonio::{self, Json, JsonError};
 
 /// The trace schema version this crate writes. Version 6 added the
 /// Pareto frontier fields (the `"pareto"` stage and its per-point
-/// `pareto` array); version 5 added the optional `stop_reason` string
-/// inside solver stats; version 4 added the modern-CDCL engine counters
-/// (`restarts`, `learned_kept`, `learned_deleted`, `plbd_hist`);
-/// version 3 added the constraint-theory fields (`classes`,
-/// `props_by_class`, `conflicts_by_class`); version 2 added the
-/// per-stage `tuning` stamp; versions 1 (no `schema` key) through 6 are
-/// all accepted by [`parse`].
+/// `pareto` array); [`parse`] also accepts version 5, the one before it.
 pub const TRACE_SCHEMA: i64 = 6;
 
 /// A trace deserialization failure.
@@ -346,22 +334,7 @@ fn stats_from_value(v: &Json) -> Result<SolveStats, TraceError> {
             Ok((at, objective))
         })
         .collect::<Result<Vec<_>, TraceError>>()?;
-    // Absent in traces written before parallel search: default to 0.
-    let shared_prunes = match v.get("shared_prunes") {
-        None => 0,
-        Some(f) => f
-            .as_u64()
-            .ok_or_else(|| schema("`shared_prunes` must be a non-negative integer"))?,
-    };
-    // Absent in pre-modern-engine (schema ≤ 3) traces: default to 0.
-    let opt_count = |key: &str| -> Result<u64, TraceError> {
-        match v.get(key) {
-            None => Ok(0),
-            Some(f) => f
-                .as_u64()
-                .ok_or_else(|| schema(format!("`{key}` must be a non-negative integer"))),
-        }
-    };
+    // Omitted when no learned constraint was scored.
     let plbd_hist = match v.get("plbd_hist") {
         None => Vec::new(),
         Some(arr) => arr
@@ -374,14 +347,14 @@ fn stats_from_value(v: &Json) -> Result<SolveStats, TraceError> {
             })
             .collect::<Result<Vec<_>, TraceError>>()?,
     };
-    // Absent in pre-theory (schema ≤ 2) traces: default to all-zero.
+    // Omitted when every class counted zero.
     let by_class = |key: &str| -> Result<ClassCounts, TraceError> {
         match v.get(key) {
             None => Ok(ClassCounts::default()),
             Some(f) => classes_from_value(f, key),
         }
     };
-    // Absent in schema ≤ 4 traces and on completed searches: stays `None`.
+    // Omitted on completed searches: stays `None`.
     let stop_reason = match v.get("stop_reason") {
         None => None,
         Some(r) => {
@@ -399,11 +372,11 @@ fn stats_from_value(v: &Json) -> Result<SolveStats, TraceError> {
         propagations: count("propagations")?,
         conflicts: count("conflicts")?,
         learned: count("learned")?,
-        restarts: opt_count("restarts")?,
-        learned_kept: opt_count("learned_kept")?,
-        learned_deleted: opt_count("learned_deleted")?,
+        restarts: count("restarts")?,
+        learned_kept: count("learned_kept")?,
+        learned_deleted: count("learned_deleted")?,
         plbd_hist,
-        shared_prunes,
+        shared_prunes: count("shared_prunes")?,
         duration: dur_from(req(v, "duration_ns")?, "duration_ns")?,
         proved_optimal: req(v, "proved_optimal")?
             .as_bool()
@@ -453,7 +426,7 @@ fn stage_from_value(v: &Json) -> Result<StageRecord, TraceError> {
             .map(stats_from_value)
             .collect::<Result<Vec<_>, TraceError>>()?,
     };
-    // Absent in schema-1 traces (and on untuned stages): stays `None`.
+    // Omitted on untuned stages: stays `None`.
     let tuning = match v.get("tuning") {
         None => None,
         Some(t) => Some(
@@ -462,7 +435,7 @@ fn stage_from_value(v: &Json) -> Result<StageRecord, TraceError> {
                 .to_string(),
         ),
     };
-    // Absent before schema 6 (and on non-pareto stages): stays `None`.
+    // Absent in schema-5 traces and on non-pareto stages: stays `None`.
     let pareto = match v.get("pareto") {
         None => None,
         Some(arr) => Some(
@@ -494,25 +467,21 @@ fn stage_from_value(v: &Json) -> Result<StageRecord, TraceError> {
 }
 
 /// Reconstructs a trace from its JSON value. Accepts the current schema
-/// version and version 1 (which predates the `schema` key, so a missing
-/// key means 1); any other version is rejected.
+/// version and the one before it; any other version, or a missing
+/// `schema` key, is rejected.
 ///
 /// # Errors
 ///
 /// [`TraceError::Schema`] when the value does not match the schema.
 pub fn from_value(v: &Json) -> Result<PipelineTrace, TraceError> {
-    match v.get("schema") {
-        None => {} // version 1: written before the key existed
-        Some(s) => {
-            let version = s
-                .as_i64()
-                .ok_or_else(|| schema("`schema` must be an integer"))?;
-            if !(1..=TRACE_SCHEMA).contains(&version) {
-                return Err(schema(format!(
-                    "unsupported trace schema version {version} (supported: 1..={TRACE_SCHEMA})"
-                )));
-            }
-        }
+    let version = req(v, "schema")?
+        .as_i64()
+        .ok_or_else(|| schema("`schema` must be an integer"))?;
+    let oldest = TRACE_SCHEMA - 1;
+    if !(oldest..=TRACE_SCHEMA).contains(&version) {
+        return Err(schema(format!(
+            "unsupported trace schema version {version} (supported: {oldest}..={TRACE_SCHEMA})"
+        )));
     }
     let stages = req(v, "stages")?
         .as_arr()
@@ -623,11 +592,11 @@ mod tests {
         assert!(matches!(parse("not json"), Err(TraceError::Json(_))));
         assert!(matches!(parse("{}"), Err(TraceError::Schema(_))));
         assert!(matches!(
-            parse(r#"{"stages":[{"stage":"warp","wall_ns":1}]}"#),
+            parse(r#"{"schema":6,"stages":[{"stage":"warp","wall_ns":1}]}"#),
             Err(TraceError::Schema(_))
         ));
         assert!(matches!(
-            parse(r#"{"stages":[{"stage":"solve","wall_ns":-5}]}"#),
+            parse(r#"{"schema":6,"stages":[{"stage":"solve","wall_ns":-5}]}"#),
             Err(TraceError::Schema(_))
         ));
     }
@@ -640,20 +609,21 @@ mod tests {
             text.trim_start().starts_with("{\n  \"schema\": 6"),
             "{text}"
         );
-        // Version 1 parses with or without an explicit schema key.
-        parse(r#"{"stages":[]}"#).unwrap();
-        parse(r#"{"schema":1,"stages":[]}"#).unwrap();
-        parse(r#"{"schema":2,"stages":[]}"#).unwrap();
-        parse(r#"{"schema":3,"stages":[]}"#).unwrap();
-        parse(r#"{"schema":4,"stages":[]}"#).unwrap();
+        // The current version and the one before it parse.
         parse(r#"{"schema":5,"stages":[]}"#).unwrap();
         parse(r#"{"schema":6,"stages":[]}"#).unwrap();
-        // Unknown versions are rejected, not misread.
-        let err = parse(r#"{"schema":99,"stages":[]}"#).unwrap_err();
-        assert!(
-            matches!(&err, TraceError::Schema(m) if m.contains("99")),
-            "{err}"
-        );
+        // Older, unknown, and missing versions are rejected, not misread.
+        for (text, needle) in [
+            (r#"{"schema":4,"stages":[]}"#, "version 4"),
+            (r#"{"schema":99,"stages":[]}"#, "version 99"),
+            (r#"{"stages":[]}"#, "missing `schema`"),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(
+                matches!(&err, TraceError::Schema(m) if m.contains(needle)),
+                "{text}: {err}"
+            );
+        }
         assert!(matches!(
             parse(r#"{"schema":"two","stages":[]}"#),
             Err(TraceError::Schema(_))
@@ -674,7 +644,7 @@ mod tests {
         assert_eq!(to_json(&parse(&text).unwrap()), text);
         // Unknown class names are rejected, not silently dropped.
         let bad =
-            r#"{"schema":3,"stages":[{"stage":"model_build","wall_ns":1,"classes":{"frob":1}}]}"#;
+            r#"{"schema":6,"stages":[{"stage":"model_build","wall_ns":1,"classes":{"frob":1}}]}"#;
         assert!(matches!(parse(bad), Err(TraceError::Schema(_))));
     }
 
@@ -701,9 +671,10 @@ mod tests {
         // Unknown reasons are a schema error.
         let bad = r#"{"schema":5,"stages":[{"stage":"solve","wall_ns":1,
             "solve":{"nodes":0,"propagations":0,"conflicts":0,"learned":0,
-                     "duration_ns":0,"proved_optimal":false,
+                     "restarts":0,"learned_kept":0,"learned_deleted":0,
+                     "shared_prunes":0,"duration_ns":0,"proved_optimal":false,
                      "stop_reason":"warp","incumbents":[]}}]}"#;
-        assert!(matches!(parse(bad), Err(TraceError::Schema(_))));
+        assert!(matches!(parse(bad), Err(TraceError::Schema(m)) if m.contains("warp")));
     }
 
     /// Schema-6 fields: a frontier race's per-point records survive the

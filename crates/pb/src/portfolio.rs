@@ -266,10 +266,9 @@ pub struct PortfolioOutcome {
 pub const REFERENCE_STRATEGY: &str = "cbj";
 
 /// Known strategy labels, in the default racing order. `evsids` is the
-/// modern CDCL engine (activity branching, Luby restarts, PLBD
-/// database reduction); `cdcl` is the classic clause-learning loop kept
-/// for the ablation bench and `--classic-search`.
-pub const STRATEGIES: [&str; 4] = ["cbj", "evsids", "cdcl", "cbj-dyn"];
+/// CDCL loop (activity branching, Luby restarts, PLBD database
+/// reduction); `cbj-dyn` is CBJ without the model's brancher.
+pub const STRATEGIES: [&str; 3] = ["cbj", "evsids", "cbj-dyn"];
 
 /// Builds the solver configuration for a known strategy label, derived
 /// from `base` (which carries the model-specific brancher and warm start).
@@ -277,20 +276,10 @@ pub const STRATEGIES: [&str; 4] = ["cbj", "evsids", "cdcl", "cbj-dyn"];
 pub fn named_config(label: &str, base: &SolverConfig) -> Option<SolverConfig> {
     match label {
         "cbj" => Some(base.clone()),
-        // Inherits the base's modern knobs: under `--classic-search`
-        // this degenerates to the classic loop and the portfolio stays
-        // genuinely classic.
         "evsids" => Some(SolverConfig {
             strategy: SearchStrategy::Cdcl,
             ..base.clone()
         }),
-        "cdcl" => Some(
-            SolverConfig {
-                strategy: SearchStrategy::Cdcl,
-                ..base.clone()
-            }
-            .classic(),
-        ),
         "cbj-dyn" => Some(SolverConfig {
             brancher: None,
             heuristic: BranchHeuristic::DynamicScore,
@@ -665,7 +654,7 @@ mod tests {
         let configs = vec![
             ("cbj".to_string(), SolverConfig::default()),
             (
-                "cdcl".to_string(),
+                "evsids".to_string(),
                 SolverConfig {
                     strategy: SearchStrategy::Cdcl,
                     ..Default::default()
@@ -684,7 +673,7 @@ mod tests {
         assert_eq!(p.outcome.best().unwrap().objective, brute);
         assert_eq!(p.threads, 3);
         assert_eq!(p.runs.len(), 3);
-        assert!(["cbj", "cdcl", "cbj-input"].contains(&p.winner.as_str()));
+        assert!(["cbj", "evsids", "cbj-input"].contains(&p.winner.as_str()));
         // The merged incumbent log strictly improves.
         for w in p.outcome.stats().incumbents.windows(2) {
             assert!(w[1].1 < w[0].1);
@@ -719,7 +708,7 @@ mod tests {
         let configs = vec![
             ("cbj".to_string(), SolverConfig::default()),
             (
-                "cdcl".to_string(),
+                "evsids".to_string(),
                 SolverConfig {
                     strategy: SearchStrategy::Cdcl,
                     ..Default::default()
@@ -790,15 +779,15 @@ mod tests {
         let s = |names: &[&str]| -> Vec<String> { names.iter().map(|n| n.to_string()).collect() };
         // Reordering keeps cbj first; duplicates and unknowns drop out.
         assert_eq!(
-            sanitize_strategies(&s(&["cdcl", "cbj", "cdcl", "warp"])),
-            vec!["cbj", "cdcl"]
+            sanitize_strategies(&s(&["evsids", "cbj", "evsids", "warp"])),
+            vec!["cbj", "evsids"]
         );
         // An empty or fully-unknown request degrades to the reference.
         assert_eq!(sanitize_strategies(&[]), vec!["cbj"]);
         assert_eq!(sanitize_strategies(&s(&["warp"])), vec!["cbj"]);
         assert_eq!(
-            sanitize_strategies(&s(&["cbj-dyn", "cdcl"])),
-            vec!["cbj", "cbj-dyn", "cdcl"]
+            sanitize_strategies(&s(&["cbj-dyn", "evsids"])),
+            vec!["cbj", "cbj-dyn", "evsids"]
         );
     }
 
@@ -819,21 +808,16 @@ mod tests {
             .collect();
         assert_eq!(labels, STRATEGIES.to_vec());
         // A named order flows through, sanitized, with derived configs.
-        let names = vec!["cdcl".to_string()];
+        let names = vec!["cbj-dyn".to_string()];
         let configs = named_configs(&base, Some(&names), 8);
         assert_eq!(configs.len(), 2);
-        assert_eq!(configs[1].0, "cdcl");
-        assert_eq!(configs[1].1.strategy, SearchStrategy::Cdcl);
+        assert_eq!(configs[1].0, "cbj-dyn");
+        assert!(configs[1].1.brancher.is_none());
         assert!(named_config("warp", &base).is_none());
-        // "evsids" is the modern CDCL engine; "cdcl" stays classic.
-        let modern = named_config("evsids", &base).unwrap();
-        assert_eq!(modern.strategy, SearchStrategy::Cdcl);
-        assert!(modern.evsids && modern.restarts && modern.reduce_db);
-        let classic = named_config("cdcl", &base).unwrap();
-        assert!(!classic.evsids && !classic.restarts && !classic.reduce_db);
-        // A classic base keeps the whole portfolio classic.
-        let modern_of_classic = named_config("evsids", &base.clone().classic()).unwrap();
-        assert!(!modern_of_classic.evsids && !modern_of_classic.restarts);
+        // "evsids" is the CDCL loop; the retired "cdcl" label is unknown.
+        let cdcl = named_config("evsids", &base).unwrap();
+        assert_eq!(cdcl.strategy, SearchStrategy::Cdcl);
+        assert!(named_config("cdcl", &base).is_none());
     }
 
     /// The containment firewall: a portfolio entry whose brancher panics
@@ -844,7 +828,22 @@ mod tests {
     fn panicking_run_is_contained_and_siblings_finish_the_proof() {
         let m = assignment_model();
         let brute = crate::brute::solve(&m).unwrap().1;
-        let bomb: crate::solve::Brancher = Arc::new(|_, _| panic!("injected brancher fault"));
+        // The sibling's first decision waits until the bomb has reached
+        // its brancher, so the sibling cannot prove (and cancel the bomb)
+        // before the fault fires.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let bomb_gate = Arc::clone(&gate);
+        let bomb: crate::solve::Brancher = Arc::new(move |_, _| {
+            bomb_gate.wait();
+            panic!("injected brancher fault")
+        });
+        let opened = std::sync::Once::new();
+        let waits_for_bomb: crate::solve::Brancher = Arc::new(move |_, _| {
+            opened.call_once(|| {
+                gate.wait();
+            });
+            None
+        });
         let configs = vec![
             (
                 "bomb".to_string(),
@@ -854,9 +853,10 @@ mod tests {
                 },
             ),
             (
-                "cdcl".to_string(),
+                "evsids".to_string(),
                 SolverConfig {
                     strategy: SearchStrategy::Cdcl,
+                    brancher: Some(waits_for_bomb),
                     ..Default::default()
                 },
             ),
@@ -864,7 +864,7 @@ mod tests {
         let p = solve_portfolio(&m, configs, &Budget::unlimited());
         assert!(p.outcome.is_optimal(), "siblings must still prove");
         assert_eq!(p.outcome.best().unwrap().objective, brute);
-        assert_eq!(p.winner, "cdcl");
+        assert_eq!(p.winner, "evsids");
         let (_, bomb_stats) = &p.runs[0];
         assert_eq!(bomb_stats.stop_reason, Some(StopReason::Panicked));
         assert!(!bomb_stats.proved_optimal);

@@ -48,9 +48,11 @@ pub fn presolve(model: &Model) -> Presolved {
     presolve_with(model, true)
 }
 
-/// Presolves `model`, honoring the `--no-theories` escape hatch for the
-/// root-propagation engine (results are identical either way; the flag
-/// exists so a theory-engine bug cannot hide inside presolve).
+/// Presolves `model`, routing root propagation through the theory
+/// engines only when `use_theories` holds (results are identical either
+/// way; [`SolverConfig::use_theories`](crate::SolverConfig::use_theories)
+/// passes the slack-path reference through, so a theory-engine bug
+/// cannot hide inside presolve).
 pub fn presolve_with(model: &Model, use_theories: bool) -> Presolved {
     let mut engine = Engine::with_theories(model, use_theories);
     if matches!(engine.propagate_all(), PropOutcome::Conflict(_)) {

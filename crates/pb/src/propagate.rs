@@ -187,8 +187,9 @@ impl Engine {
     /// the counting engine only when `use_theories` holds.
     ///
     /// With theories off every row stays on the generic slack path — the
-    /// `--no-theories` escape hatch. Classification is still recorded so
-    /// per-class stats attribution is identical either way.
+    /// reference the tests compare the counting engine against.
+    /// Classification is still recorded so per-class stats attribution is
+    /// identical either way.
     pub fn with_theories(model: &Model, use_theories: bool) -> Self {
         let mut constraints: Vec<Constraint> = model.constraints().to_vec();
 
@@ -892,31 +893,17 @@ impl Engine {
     /// and returns the learned clause "not all of these decisions
     /// together" plus the backjump level (the second-deepest decision
     /// level involved). After backjumping, the clause asserts the negation
-    /// of the deepest involved decision.
+    /// of the deepest involved decision. Every above-root variable the
+    /// walk visits (decisions *and* propagated variables) is appended to
+    /// `visited` — the bump set for activity-driven branching.
     ///
     /// Returns `None` when no decision is responsible — the conflict holds
     /// at the root, i.e. the problem (under the current objective bound)
     /// is exhausted.
-    pub fn analyze(&self, conflict: usize) -> Option<LearnedClause> {
-        self.analyze_impl(conflict, None)
-    }
-
-    /// [`Engine::analyze`], additionally appending every above-root
-    /// variable visited by the reason walk (decisions *and* propagated
-    /// variables) to `visited` — the bump set for activity-driven
-    /// branching. The learned clause is identical to `analyze`'s.
     pub fn analyze_collecting(
         &self,
         conflict: usize,
         visited: &mut Vec<Var>,
-    ) -> Option<LearnedClause> {
-        self.analyze_impl(conflict, Some(visited))
-    }
-
-    fn analyze_impl(
-        &self,
-        conflict: usize,
-        mut visited: Option<&mut Vec<Var>>,
     ) -> Option<LearnedClause> {
         let mut seen = vec![false; self.values.len()];
         let mut stack: Vec<Var> = Vec::new();
@@ -930,9 +917,7 @@ impl Engine {
             if self.levels[v.index()] == 0 {
                 continue; // root-level fact
             }
-            if let Some(out) = visited.as_deref_mut() {
-                out.push(v);
-            }
+            visited.push(v);
             match self.reasons[v.index()] {
                 None => decisions.push(v),
                 Some(cr) => self.false_vars_of(cr as usize, &mut stack),
@@ -1185,7 +1170,16 @@ mod tests {
         let mut decisions = e.involved_decisions(ci);
         decisions.sort();
         assert_eq!(decisions, vec![a, b], "both decisions are responsible");
-        let lc = e.analyze(ci).expect("decisions involved");
+        let mut visited = Vec::new();
+        let lc = e
+            .analyze_collecting(ci, &mut visited)
+            .expect("decisions involved");
+        visited.sort();
+        assert_eq!(
+            visited,
+            vec![a, b, c, d],
+            "the walk visits every implied var"
+        );
         assert_eq!(lc.lits.len(), 2);
         assert!(lc.lits.contains(&a.pos()) && lc.lits.contains(&b.pos()));
         assert_eq!(

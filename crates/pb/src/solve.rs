@@ -13,8 +13,9 @@ use crate::propagate::{Engine, PropOutcome, Value};
 use crate::theory::ClassCounts;
 
 /// A custom branching strategy: returns the next decision
-/// `(variable, first value)`, or `None` to fall back to the configured
-/// generic heuristic.
+/// `(variable, first value)`, or `None` to fall back to the search
+/// loop's own branching (the configured generic heuristic under CBJ, the
+/// activity heap under CDCL).
 ///
 /// Model builders that know their variable structure (CLIP-W fills slots
 /// left to right and orients units as they are placed) supply one of these
@@ -31,11 +32,8 @@ pub enum SearchStrategy {
     #[default]
     Cbj,
     /// Conflict-driven clause learning with decision-set clauses and a
-    /// 2-watched-literal store. By default the modern engine core runs
-    /// on top: EVSIDS activity branching, Luby restarts with phase
-    /// saving, and PLBD-scored learned-database reduction (see the
-    /// [`SolverConfig::evsids`] family of knobs; `--classic-search`
-    /// turns them all off).
+    /// 2-watched-literal store, EVSIDS activity branching, Luby restarts
+    /// with phase saving, and PLBD-scored learned-database reduction.
     Cdcl,
 }
 
@@ -74,7 +72,9 @@ pub fn luby(mut index: u64) -> u64 {
 pub struct SolverConfig {
     /// Search strategy (default [`SearchStrategy::Cbj`]).
     pub strategy: SearchStrategy,
-    /// Branching heuristic (default [`BranchHeuristic::DynamicScore`]).
+    /// Generic branching heuristic CBJ falls back to when the brancher
+    /// passes (default [`BranchHeuristic::DynamicScore`]). The CDCL loop
+    /// branches by activity instead.
     pub heuristic: BranchHeuristic,
     /// Solve budget: an absolute wall-clock deadline plus an optional
     /// shared node pool. Budgets are created once per request and shared
@@ -99,41 +99,11 @@ pub struct SolverConfig {
     /// global incumbent", even when this run holds no solution itself.
     pub incumbent: Option<SharedIncumbent>,
     /// Route unit-coefficient constraint classes to the specialized
-    /// counting engine (default true). Turning this off — the
-    /// `--no-theories` escape hatch — keeps every row on the generic
-    /// slack path; results and stats are identical either way, only
-    /// speed changes.
+    /// counting engine (default true). Turning this off keeps every row
+    /// on the generic slack path, the reference the tests compare the
+    /// counting engine against; results and stats are identical either
+    /// way, only speed changes.
     pub use_theories: bool,
-    /// EVSIDS activity branching for [`SearchStrategy::Cdcl`] (default
-    /// true): variables visited by conflict analysis accumulate
-    /// exponentially-decayed activities in a heap, replacing the
-    /// per-node [`BranchHeuristic::DynamicScore`] rescan whenever the
-    /// problem-specific brancher passes. Off under `--classic-search`.
-    pub evsids: bool,
-    /// Luby-schedule restarts for [`SearchStrategy::Cdcl`] (default
-    /// true): back the search up to the root after `luby(i) · 64`
-    /// conflicts, keeping learned clauses, incumbents, and saved
-    /// phases. Off under `--classic-search`.
-    pub restarts: bool,
-    /// PLBD-scored learned-database reduction for
-    /// [`SearchStrategy::Cdcl`] (default true): at restart boundaries,
-    /// once the database outgrows its allowance, delete the worst half
-    /// of the deletable learned clauses (glue and locked clauses are
-    /// exempt). Off under `--classic-search`.
-    pub reduce_db: bool,
-}
-
-impl SolverConfig {
-    /// Disables the modern CDCL components (activity branching,
-    /// restarts, database reduction) — the `--classic-search` escape
-    /// hatch. Proved-optimal objective values are identical either way;
-    /// only the path the search takes to them changes.
-    pub fn classic(mut self) -> Self {
-        self.evsids = false;
-        self.restarts = false;
-        self.reduce_db = false;
-        self
-    }
 }
 
 impl Default for SolverConfig {
@@ -147,9 +117,6 @@ impl Default for SolverConfig {
             presolve: false,
             incumbent: None,
             use_theories: true,
-            evsids: true,
-            restarts: true,
-            reduce_db: true,
         }
     }
 }
@@ -165,9 +132,6 @@ impl std::fmt::Debug for SolverConfig {
             .field("presolve", &self.presolve)
             .field("incumbent", &self.incumbent.is_some())
             .field("use_theories", &self.use_theories)
-            .field("evsids", &self.evsids)
-            .field("restarts", &self.restarts)
-            .field("reduce_db", &self.reduce_db)
             .finish()
     }
 }
@@ -269,7 +233,7 @@ pub struct SolveStats {
     pub incumbents: Vec<(Duration, i64)>,
     /// True if optimality was proved (search exhausted).
     pub proved_optimal: bool,
-    /// Luby-schedule restarts performed (modern CDCL engine only).
+    /// Luby-schedule restarts performed (CDCL only).
     pub restarts: u64,
     /// Learned clauses still in the database when the search ended.
     pub learned_kept: u64,
@@ -277,8 +241,8 @@ pub struct SolveStats {
     pub learned_deleted: u64,
     /// Histogram of learned-clause pseudo-LBDs at creation: bucket `i`
     /// counts clauses with PLBD `i + 1` (the last bucket absorbs
-    /// everything deeper). Empty when no clause was scored — classic
-    /// search and CBJ leave it empty.
+    /// everything deeper). Empty when no clause was scored — CBJ leaves
+    /// it empty.
     pub plbd_hist: Vec<u64>,
     /// Propagations attributed to the theory class of the forcing
     /// constraint (learned clauses count as clause-theory).
@@ -442,37 +406,21 @@ impl<'a> Solver<'a> {
         if let Some(inc) = &self.config.incumbent {
             engine.set_cancel(inc.cancel_flag());
         }
-        let scores = StaticScores::new(self.model);
         let mut best: Option<Solution> = None;
 
-        // Seed from a warm start if it is genuinely feasible.
+        // Seed from a warm start if it is genuinely feasible. Publishing
+        // it lets portfolio siblings prune against it even if this run
+        // never gets past its first deadline tick.
         if let Some(ws) = &self.config.warm_start {
             if self.model.is_feasible(ws) {
-                let objective = self.model.objective().eval(ws);
-                stats.incumbents.push((start.elapsed(), objective));
-                engine.set_objective_bound(objective - 1 - self.model.objective().base);
-                best = Some(Solution {
-                    values: ws.clone(),
-                    objective,
-                });
+                self.record_incumbent(ws.clone(), &mut engine, &mut best, &mut stats, start);
             }
-        }
-        // Publish the seed: portfolio siblings prune against it even if
-        // this run never gets past its first deadline tick.
-        if let (Some(inc), Some(b)) = (&self.config.incumbent, &best) {
-            inc.offer(b);
         }
 
         match self.config.strategy {
-            SearchStrategy::Cbj => {
-                self.search_cbj(&mut engine, &scores, &mut best, &mut stats, start)
-            }
+            SearchStrategy::Cbj => self.search_cbj(&mut engine, &mut best, &mut stats, start),
             SearchStrategy::Cdcl => {
-                if self.config.evsids || self.config.restarts || self.config.reduce_db {
-                    self.search_cdcl_modern(&mut engine, &scores, &mut best, &mut stats, start)
-                } else {
-                    self.search_cdcl(&mut engine, &scores, &mut best, &mut stats, start)
-                }
+                self.search_cdcl_modern(&mut engine, &mut best, &mut stats, start)
             }
         }
 
@@ -486,6 +434,41 @@ impl<'a> Solver<'a> {
             (None, true) => Outcome::Infeasible(stats),
             (None, false) => Outcome::Unknown(stats),
         }
+    }
+
+    /// Records the feasible complete assignment `values` as the
+    /// incumbent when it beats `best`: logs it, tightens the engine's
+    /// objective bound below it, and publishes it to the portfolio
+    /// mailbox. Returns its objective when it improved.
+    fn record_incumbent(
+        &self,
+        values: Vec<bool>,
+        engine: &mut Engine,
+        best: &mut Option<Solution>,
+        stats: &mut SolveStats,
+        start: Instant,
+    ) -> Option<i64> {
+        debug_assert!(self.model.is_feasible(&values));
+        let objective = self.model.objective().eval(&values);
+        if best.as_ref().is_some_and(|b| objective >= b.objective) {
+            return None;
+        }
+        stats.incumbents.push((start.elapsed(), objective));
+        engine.set_objective_bound(objective - 1 - self.model.objective().base);
+        let solution = best.insert(Solution { values, objective });
+        if let Some(inc) = &self.config.incumbent {
+            inc.offer(solution);
+        }
+        Some(objective)
+    }
+
+    /// The values of a complete assignment.
+    fn complete_values(engine: &Engine) -> Vec<bool> {
+        engine
+            .values()
+            .iter()
+            .map(|v| v.as_bool().expect("complete assignment"))
+            .collect()
     }
 
     /// The coordination block run every 64th loop tick: the wall-clock
@@ -546,7 +529,6 @@ impl<'a> Solver<'a> {
     fn search_cbj(
         &self,
         engine: &mut Engine,
-        scores: &StaticScores,
         best: &mut Option<Solution>,
         stats: &mut SolveStats,
         start: Instant,
@@ -558,6 +540,7 @@ impl<'a> Solver<'a> {
             cset: Vec<Var>,
         }
         let n = self.model.num_vars();
+        let scores = StaticScores::new(self.model);
         let mut frames: Vec<Frame> = Vec::new();
         let mut limit_hit = false;
         let deadline = self.config.budget.deadline();
@@ -638,22 +621,9 @@ impl<'a> Solver<'a> {
                     confset = top.cset;
                 }
             } else if engine.num_assigned() == n {
-                let values: Vec<bool> = engine
-                    .values()
-                    .iter()
-                    .map(|v| v.as_bool().expect("complete assignment"))
-                    .collect();
-                debug_assert!(self.model.is_feasible(&values));
-                let objective = self.model.objective().eval(&values);
-                let improved = best.as_ref().is_none_or(|b| objective < b.objective);
-                if improved {
-                    stats.incumbents.push((start.elapsed(), objective));
-                    engine.set_objective_bound(objective - 1 - self.model.objective().base);
+                let values = Self::complete_values(engine);
+                if let Some(objective) = self.record_incumbent(values, engine, best, stats, start) {
                     bound_obj = Some(objective);
-                    *best = Some(Solution { values, objective });
-                    if let (Some(inc), Some(b)) = (&self.config.incumbent, best.as_ref()) {
-                        inc.offer(b);
-                    }
                 }
                 match engine.objective_index() {
                     Some(oi) => conflict = Some(oi),
@@ -665,7 +635,7 @@ impl<'a> Solver<'a> {
                     .brancher
                     .as_ref()
                     .and_then(|b| b(self.model, engine))
-                    .or_else(|| pick(self.config.heuristic, self.model, engine, scores))
+                    .or_else(|| pick(self.config.heuristic, self.model, engine, &scores))
                     .expect("unassigned variable exists");
                 stats.nodes += 1;
                 engine.assign_decision(var, first_value);
@@ -690,139 +660,20 @@ impl<'a> Solver<'a> {
     }
 
     /// Conflict-driven search: decision-set clause learning with
-    /// non-chronological backjumping, plus branch-and-bound via the
-    /// engine's dynamic objective constraint.
-    fn search_cdcl(
-        &self,
-        engine: &mut Engine,
-        scores: &StaticScores,
-        best: &mut Option<Solution>,
-        stats: &mut SolveStats,
-        start: Instant,
-    ) {
-        let n = self.model.num_vars();
-        let mut limit_hit = false;
-        let deadline = self.config.budget.deadline();
-        let mut pool = NodePool::new(&self.config.budget);
-        let mut bound_obj: Option<i64> = best.as_ref().map(|b| b.objective);
-        let mut ticks: u64 = 0;
-        let mut conflict = match engine.propagate_all() {
-            PropOutcome::Conflict(ci) => Some(ci),
-            PropOutcome::Consistent => None,
-        };
-
-        loop {
-            // A cancelled propagation round leaves the queue half-drained;
-            // nothing downstream may trust the engine state.
-            if engine.interrupted() {
-                stats.stop_reason = Some(StopReason::Cancelled);
-                limit_hit = true;
-                break;
-            }
-            // Limits, paced on a local counter (nodes+conflicts can step
-            // over every multiple of 64 and defer the check indefinitely).
-            if ticks.is_multiple_of(64)
-                && self.tick_check(
-                    deadline,
-                    &mut pool,
-                    engine,
-                    &mut conflict,
-                    &mut bound_obj,
-                    stats,
-                )
-            {
-                limit_hit = true;
-                break;
-            }
-            ticks += 1;
-            if pool.drained(stats.nodes) {
-                stats.stop_reason = Some(StopReason::NodeBudget);
-                limit_hit = true;
-                break;
-            }
-
-            if let Some(ci) = conflict.take() {
-                stats.conflicts += 1;
-                stats.conflicts_by_class.add(engine.class_of_conflict(ci));
-                match engine.analyze(ci) {
-                    None => break, // conflict at the root: search exhausted
-                    Some(lc) => {
-                        let tag = engine.add_learned_clause(lc.lits, lc.assert_index);
-                        stats.learned += 1;
-                        engine.backjump_to(lc.backjump);
-                        if !engine.assert_learned(tag) {
-                            break; // asserting literal already false at root
-                        }
-                        if let PropOutcome::Conflict(c) = engine.propagate() {
-                            conflict = Some(c);
-                        }
-                    }
-                }
-            } else if engine.num_assigned() == n {
-                // Complete assignment: record the incumbent and continue by
-                // tightening the objective bound (the bound constraint is
-                // now violated, driving the next conflict analysis).
-                let values: Vec<bool> = engine
-                    .values()
-                    .iter()
-                    .map(|v| v.as_bool().expect("complete assignment"))
-                    .collect();
-                debug_assert!(self.model.is_feasible(&values));
-                let objective = self.model.objective().eval(&values);
-                let improved = best.as_ref().is_none_or(|b| objective < b.objective);
-                if improved {
-                    stats.incumbents.push((start.elapsed(), objective));
-                    engine.set_objective_bound(objective - 1 - self.model.objective().base);
-                    bound_obj = Some(objective);
-                    *best = Some(Solution { values, objective });
-                    if let (Some(inc), Some(b)) = (&self.config.incumbent, best.as_ref()) {
-                        inc.offer(b);
-                    }
-                }
-                match engine.objective_index() {
-                    Some(oi) => conflict = Some(oi),
-                    None => break, // feasibility problem: first solution is optimal
-                }
-            } else {
-                // Branch: problem-specific strategy first, generic fallback.
-                let (var, first_value) = self
-                    .config
-                    .brancher
-                    .as_ref()
-                    .and_then(|b| b(self.model, engine))
-                    .or_else(|| pick(self.config.heuristic, self.model, engine, scores))
-                    .expect("unassigned variable exists");
-                stats.nodes += 1;
-                engine.assign_decision(var, first_value);
-                if let PropOutcome::Conflict(c) = engine.propagate() {
-                    conflict = Some(c);
-                }
-            }
-        }
-
-        let _ = pool.settle(stats.nodes);
-        stats.proved_optimal = !limit_hit;
-        if stats.proved_optimal {
-            // Invariant: a completed search carries no stop reason.
-            stats.stop_reason = None;
-        }
-    }
-
-    /// The modern CDCL engine core: [`Self::search_cdcl`]'s clause
-    /// learning plus EVSIDS activity branching, Luby restarts with
-    /// phase saving, and PLBD-scored database reduction, each gated by
-    /// its [`SolverConfig`] knob.
+    /// non-chronological backjumping and branch-and-bound via the
+    /// engine's dynamic objective constraint, plus EVSIDS activity
+    /// branching, Luby restarts with phase saving, and PLBD-scored
+    /// database reduction.
     ///
-    /// Restarts and activity ordering reshape the search tree, so this
-    /// loop does not reproduce the classic search node-for-node; it is
-    /// pinned to *result* equality instead — proved-optimal objective
-    /// values match `--classic-search` exactly, and a fixed config is
-    /// byte-reproducible run-to-run (the heap breaks activity ties by
-    /// variable index; no pointer or iteration order leaks in).
+    /// Restarts and activity ordering give this loop a different search
+    /// tree from CBJ's, so it is pinned to *result* equality instead —
+    /// proved-optimal objective values match CBJ and brute force — and a
+    /// fixed config is byte-reproducible run-to-run (the heap breaks
+    /// activity ties by variable index; no pointer or iteration order
+    /// leaks in).
     fn search_cdcl_modern(
         &self,
         engine: &mut Engine,
-        scores: &StaticScores,
         best: &mut Option<Solution>,
         stats: &mut SolveStats,
         start: Instant,
@@ -898,14 +749,12 @@ impl<'a> Solver<'a> {
                 match engine.analyze_collecting(ci, &mut visited) {
                     None => break, // conflict at the root: search exhausted
                     Some(lc) => {
-                        if self.config.evsids {
-                            // Bump everything the reason walk visited;
-                            // one decay step per conflict.
-                            for &v in &visited {
-                                heap.bump(v.index());
-                            }
-                            heap.decay();
+                        // Bump everything the reason walk visited; one
+                        // decay step per conflict.
+                        for &v in &visited {
+                            heap.bump(v.index());
                         }
+                        heap.decay();
                         let tag = engine.add_learned_clause(lc.lits, lc.assert_index);
                         stats.learned += 1;
                         if stats.plbd_hist.is_empty() {
@@ -926,30 +775,15 @@ impl<'a> Solver<'a> {
                 // Complete assignment: record the incumbent and continue by
                 // tightening the objective bound (the bound constraint is
                 // now violated, driving the next conflict analysis).
-                let values: Vec<bool> = engine
-                    .values()
-                    .iter()
-                    .map(|v| v.as_bool().expect("complete assignment"))
-                    .collect();
-                debug_assert!(self.model.is_feasible(&values));
-                let objective = self.model.objective().eval(&values);
-                let improved = best.as_ref().is_none_or(|b| objective < b.objective);
-                if improved {
-                    stats.incumbents.push((start.elapsed(), objective));
-                    engine.set_objective_bound(objective - 1 - self.model.objective().base);
+                let values = Self::complete_values(engine);
+                if let Some(objective) = self.record_incumbent(values, engine, best, stats, start) {
                     bound_obj = Some(objective);
-                    *best = Some(Solution { values, objective });
-                    if let (Some(inc), Some(b)) = (&self.config.incumbent, best.as_ref()) {
-                        inc.offer(b);
-                    }
                 }
                 match engine.objective_index() {
                     Some(oi) => conflict = Some(oi),
                     None => break, // feasibility problem: first solution is optimal
                 }
-            } else if self.config.restarts
-                && conflicts_since_restart >= luby(restart_idx) * LUBY_UNIT
-            {
+            } else if conflicts_since_restart >= luby(restart_idx) * LUBY_UNIT {
                 // Restart: back to the root, keeping learned clauses,
                 // the incumbent bound, activities, and saved phases.
                 stats.restarts += 1;
@@ -958,7 +792,7 @@ impl<'a> Solver<'a> {
                 unwind(engine, &mut heap, &mut saved, 0);
                 // Reduce the learned database at restart boundaries once
                 // it outgrows its allowance.
-                if self.config.reduce_db && engine.num_learned() as u64 >= next_reduce {
+                if engine.num_learned() as u64 >= next_reduce {
                     let (kept, deleted, outcome) = engine.reduce_learned();
                     stats.learned_deleted += deleted;
                     next_reduce = kept + REDUCE_STEP;
@@ -971,25 +805,19 @@ impl<'a> Solver<'a> {
                 }
             } else {
                 // Branch: problem-specific strategy, then the activity
-                // heap (at the saved phase), then the generic fallback.
+                // heap at the saved phase. Every unassigned variable is
+                // in the heap: a backjump re-queues what it unassigns.
                 let choice = self
                     .config
                     .brancher
                     .as_ref()
                     .and_then(|b| b(self.model, engine));
-                let (var, first_value) = if let Some(c) = choice {
-                    c
-                } else if self.config.evsids {
-                    loop {
-                        let v = heap.pop().expect("unassigned variable exists");
-                        if engine.value(Var(v as u32)) == Value::Unassigned {
-                            break (Var(v as u32), saved[v]);
-                        }
+                let (var, first_value) = choice.unwrap_or_else(|| loop {
+                    let v = heap.pop().expect("unassigned variable exists");
+                    if engine.value(Var(v as u32)) == Value::Unassigned {
+                        break (Var(v as u32), saved[v]);
                     }
-                } else {
-                    pick(self.config.heuristic, self.model, engine, scores)
-                        .expect("unassigned variable exists")
-                };
+                });
                 stats.nodes += 1;
                 engine.assign_decision(var, first_value);
                 if let PropOutcome::Conflict(c) = engine.propagate() {
@@ -1353,22 +1181,10 @@ mod tests {
     }
 
     #[test]
-    fn classic_config_disables_the_modern_knobs() {
-        let c = SolverConfig::default();
-        assert!(
-            c.evsids && c.restarts && c.reduce_db,
-            "modern is the default"
-        );
-        let c = c.classic();
-        assert!(!c.evsids && !c.restarts && !c.reduce_db);
-        assert!(c.use_theories, "classic() leaves theory routing alone");
-    }
-
-    #[test]
-    fn modern_and_classic_cdcl_prove_the_same_optimum() {
+    fn cdcl_proves_the_brute_force_optimum_reproducibly() {
         // Deterministic spot check (the broad differential lives in
         // tests/proptest_search.rs): an assignment problem with enough
-        // conflicts to exercise learning on both paths.
+        // conflicts to exercise learning.
         let costs = [[3, 1, 4], [1, 5, 9], [2, 6, 5]];
         let mut m = Model::new();
         let mut grid = Vec::new();
@@ -1389,33 +1205,28 @@ mod tests {
         }
         m.minimize(obj.iter().copied());
 
-        let cdcl = |classic: bool| {
-            let mut config = SolverConfig {
+        let cdcl = || {
+            let config = SolverConfig {
                 strategy: SearchStrategy::Cdcl,
                 ..Default::default()
             };
-            if classic {
-                config = config.classic();
-            }
             Solver::with_config(&m, config).run()
         };
-        let (modern, classic) = (cdcl(false), cdcl(true));
-        assert!(modern.is_optimal() && classic.is_optimal());
-        assert_eq!(
-            modern.best().unwrap().objective,
-            classic.best().unwrap().objective
-        );
-        // The modern run scores every learned clause.
-        let st = modern.stats();
+        let first = cdcl();
+        assert!(first.is_optimal());
+        let (_, brute_obj) = brute::solve(&m).unwrap();
+        assert_eq!(first.best().unwrap().objective, brute_obj);
+        // Every learned clause is scored and accounted for.
+        let st = first.stats();
         assert_eq!(st.plbd_hist.iter().sum::<u64>(), st.learned);
         assert_eq!(st.learned_kept + st.learned_deleted, st.learned);
         // A repeat of the same config is byte-reproducible.
-        let again = cdcl(false);
+        let again = cdcl();
         assert_eq!(
-            modern.best().unwrap().values(),
+            first.best().unwrap().values(),
             again.best().unwrap().values()
         );
-        let (a, b) = (modern.stats(), again.stats());
+        let (a, b) = (first.stats(), again.stats());
         assert_eq!(
             (a.nodes, a.conflicts, a.learned, a.restarts, &a.plbd_hist),
             (b.nodes, b.conflicts, b.learned, b.restarts, &b.plbd_hist)

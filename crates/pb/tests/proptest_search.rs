@@ -1,13 +1,13 @@
-//! Property-based differential between the modern CDCL engine core and
-//! `--classic-search`.
+//! Property-based differential between the CDCL search loop and brute
+//! force.
 //!
 //! Restarts and activity-driven branching legitimately reshape the
 //! search tree, so unlike the theory-routing tests this differential
-//! pins *results*, not node counts: over random models the modern
-//! engine and the classic loop must prove the same optimal objective,
-//! agree on infeasibility, and each be deterministic run-to-run.
+//! pins *results*, not node counts: over random models the CDCL loop
+//! must prove the brute-force optimum, agree on infeasibility, and be
+//! deterministic run-to-run.
 
-use clip_pb::{Model, SearchStrategy, Solver, SolverConfig, Var};
+use clip_pb::{brute, Model, SearchStrategy, Solver, SolverConfig, Var};
 use clip_proptest::{gens, proptest_lite, Gen};
 
 /// A generated constraint, biased toward unit coefficients so the
@@ -80,57 +80,44 @@ fn build(raw: &RawModel) -> Model {
     m
 }
 
-fn run_cdcl(m: &Model, classic: bool) -> clip_pb::Outcome {
-    let mut config = SolverConfig {
+fn run_cdcl(m: &Model) -> clip_pb::Outcome {
+    let config = SolverConfig {
         strategy: SearchStrategy::Cdcl,
         ..Default::default()
     };
-    if classic {
-        config = config.classic();
-    }
     Solver::with_config(m, config).run()
 }
 
 proptest_lite! {
     cases: 256;
 
-    fn modern_and_classic_search_agree_on_results(raw in raw_model()) {
+    fn cdcl_search_matches_brute_force(raw in raw_model()) {
         let m = build(&raw);
-        let modern = run_cdcl(&m, false);
-        let classic = run_cdcl(&m, true);
-        // Unlimited budgets: both must finish with a proof.
-        assert!(modern.stats().proved_optimal, "modern left unproved");
-        assert!(classic.stats().proved_optimal, "classic left unproved");
+        let cdcl = run_cdcl(&m);
+        // Unlimited budget: the search must finish with a proof.
+        assert!(cdcl.stats().proved_optimal, "CDCL left unproved");
         // Agreement on feasibility and on the proved optimum.
         assert_eq!(
-            modern.best().is_some(),
-            classic.best().is_some(),
-            "engines disagree on feasibility"
+            cdcl.best().map(|s| s.objective),
+            brute::solve(&m).map(|(_, objective)| objective),
+            "CDCL proves a different optimum than brute force"
         );
-        assert_eq!(
-            modern.best().map(|s| s.objective),
-            classic.best().map(|s| s.objective),
-            "engines prove different optima"
-        );
-        // The modern solution really attains its claimed objective.
-        if let Some(s) = modern.best() {
-            assert!(m.is_feasible(s.values()), "modern witness infeasible");
+        // The solution really attains its claimed objective.
+        if let Some(s) = cdcl.best() {
+            assert!(m.is_feasible(s.values()), "CDCL witness infeasible");
             assert_eq!(m.objective().eval(s.values()), s.objective);
         }
-        // Bookkeeping invariants of the new stats fields.
-        let st = modern.stats();
+        // Bookkeeping invariants of the learned-database counters.
+        let st = cdcl.stats();
         assert_eq!(st.learned_kept + st.learned_deleted, st.learned);
         if !st.plbd_hist.is_empty() {
             assert_eq!(st.plbd_hist.iter().sum::<u64>(), st.learned);
         }
-        assert_eq!(classic.stats().restarts, 0);
-        assert_eq!(classic.stats().learned_deleted, 0);
-        assert!(classic.stats().plbd_hist.is_empty());
     }
 
     fn modern_search_is_reproducible(raw in raw_model()) {
         let m = build(&raw);
-        let (a, b) = (run_cdcl(&m, false), run_cdcl(&m, false));
+        let (a, b) = (run_cdcl(&m), run_cdcl(&m));
         assert_eq!(
             a.best().map(|s| s.values().to_vec()),
             b.best().map(|s| s.values().to_vec()),

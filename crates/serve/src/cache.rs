@@ -345,8 +345,6 @@ mod tests {
             pareto: false,
             limit_ms: 60_000,
             jobs: None,
-            no_theories: false,
-            classic_search: false,
             no_cache: false,
             faults: Vec::new(),
         }
@@ -367,8 +365,6 @@ mod tests {
         assert_eq!(k, canonical_key("* deck\n", &base));
         // Speed-only knobs don't move the key…
         let mut speedy = base.clone();
-        speedy.no_theories = true;
-        speedy.classic_search = true;
         speedy.jobs = Some(8);
         speedy.limit_ms = 1;
         assert_eq!(k, canonical_key("* deck\n", &speedy));

@@ -429,12 +429,6 @@ fn build_request(spec: &SynthSpec, circuit: Circuit) -> Result<SynthRequest, Exe
     if spec.stacking {
         request = request.stacking();
     }
-    if spec.no_theories {
-        request = request.no_theories();
-    }
-    if spec.classic_search {
-        request = request.classic_search();
-    }
     if let Some(jobs) = spec.jobs.and_then(std::num::NonZeroUsize::new) {
         request = request.jobs(jobs);
     }
@@ -493,8 +487,6 @@ mod tests {
             pareto: false,
             limit_ms: DEFAULT_LIMIT_MS,
             jobs: Some(1),
-            no_theories: false,
-            classic_search: false,
             no_cache: false,
             faults: Vec::new(),
         }

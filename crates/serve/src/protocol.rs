@@ -105,10 +105,6 @@ pub struct SynthSpec {
     pub limit_ms: u64,
     /// Worker threads for this request's internal fan-out.
     pub jobs: Option<usize>,
-    /// Disable typed constraint theories (speed-only bisection flag).
-    pub no_theories: bool,
-    /// Disable the modern CDCL core (speed-only bisection flag).
-    pub classic_search: bool,
     /// Bypass the memo cache for this request.
     pub no_cache: bool,
     /// Armed fault sites (validated against [`faultpoint::SITES`]).
@@ -225,8 +221,6 @@ fn parse_synth(pairs: &[(String, Json)]) -> Result<SynthSpec, String> {
     let mut critical = Vec::new();
     let mut limit_ms = DEFAULT_LIMIT_MS;
     let mut jobs = None;
-    let mut no_theories = false;
-    let mut classic_search = false;
     let mut no_cache = false;
     let mut faults = Vec::new();
 
@@ -311,8 +305,6 @@ fn parse_synth(pairs: &[(String, Json)]) -> Result<SynthSpec, String> {
                     critical.push(name.to_owned());
                 }
             }
-            "no_theories" => no_theories = bool_field(v, key)?,
-            "classic_search" => classic_search = bool_field(v, key)?,
             "no_cache" => no_cache = bool_field(v, key)?,
             "faults" => {
                 let items = v
@@ -361,8 +353,6 @@ fn parse_synth(pairs: &[(String, Json)]) -> Result<SynthSpec, String> {
         pareto: false,
         limit_ms,
         jobs,
-        no_theories,
-        classic_search,
         no_cache,
         faults,
     })
@@ -514,7 +504,7 @@ mod tests {
                 "stacking":true,"height":true,"limit_ms":1500,"jobs":2,
                 "track_pitch":2,"diffusion_overhead":1,"rail_overhead":0,
                 "interrow_weight":-1,"critical":["z","n1"],
-                "no_theories":true,"classic_search":true,"no_cache":true,
+                "no_cache":true,
                 "faults":["solve.panic","cache.torn"]}"#,
         )
         .unwrap();
@@ -523,7 +513,7 @@ mod tests {
             panic!("expected synth")
         };
         assert!(spec.auto_rows && spec.stacking && spec.height);
-        assert!(spec.no_theories && spec.classic_search && spec.no_cache);
+        assert!(spec.no_cache);
         assert_eq!(spec.max_rows, 3);
         assert_eq!(spec.limit_ms, 1500);
         assert_eq!(spec.jobs, Some(2));
@@ -576,6 +566,14 @@ mod tests {
             (r#"{"op":"synth"}"#, "one of"),
             (r#"{"op":"synth","cell":"a","deck":"b"}"#, "exactly one"),
             (r#"{"op":"synth","cell":"a","rowz":2}"#, "unknown key"),
+            (
+                r#"{"op":"synth","cell":"a","no_theories":true}"#,
+                "unknown key",
+            ),
+            (
+                r#"{"op":"synth","cell":"a","classic_search":true}"#,
+                "unknown key",
+            ),
             (r#"{"op":"synth","cell":"a","rows":0}"#, ">= 1"),
             (r#"{"op":"synth","cell":"a","rows":-3}"#, "non-negative"),
             (r#"{"op":"synth","cell":"a","max_rows":2}"#, "auto"),

@@ -32,15 +32,11 @@
 
 use std::collections::BTreeMap;
 
+use clip_core::tuning::STRATEGIES;
 use clip_layout::jsonio::{self, Json};
 
 use crate::features::FeatureKey;
 use crate::profile::{ProfileEntry, ProfileError, TuningProfile};
-
-/// The default portfolio order appended after observed winners. Must
-/// stay in sync with `clip_pb::portfolio::STRATEGIES` (the sanitizer
-/// there drops anything unknown, so drift degrades, never breaks).
-const DEFAULT_STRATEGIES: [&str; 3] = ["cbj", "cdcl", "cbj-dyn"];
 
 /// One parsed training record.
 struct Record {
@@ -130,7 +126,7 @@ fn derive_entry(records: &[Record]) -> ProfileEntry {
         let mut ranked: Vec<(&str, usize)> = wins.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         let mut order: Vec<String> = ranked.into_iter().map(|(s, _)| s.to_string()).collect();
-        for s in DEFAULT_STRATEGIES {
+        for s in STRATEGIES {
             if !order.iter().any(|o| o == s) {
                 order.push(s.to_string());
             }
@@ -208,10 +204,10 @@ mod tests {
     #[test]
     fn learns_portfolio_jobs_and_seed_advice() {
         let text = [
-            line(1, true, 50, 1000, "cdcl"),
-            line(1, true, 60, 1100, "cdcl"),
+            line(1, true, 50, 1000, "cbj-dyn"),
+            line(1, true, 60, 1100, "cbj-dyn"),
             line(2, false, 0, 400, "cbj"),
-            line(2, false, 0, 500, "cdcl"),
+            line(2, false, 0, 500, "cbj-dyn"),
             "not a training line".to_string(),
             r#"{"record":"measurement","cell":"xor2","wall_ns":1}"#.to_string(),
         ]
@@ -220,8 +216,8 @@ mod tests {
         assert_eq!(profile.len(), 1);
         let entry = &profile.entries[KEY];
         assert_eq!(entry.observations, 4);
-        // cdcl won 3, cbj 1; cbj-dyn never won but is appended.
-        assert_eq!(entry.portfolio, vec!["cdcl", "cbj", "cbj-dyn"]);
+        // cbj-dyn won 3, cbj 1; evsids never won but is appended.
+        assert_eq!(entry.portfolio, vec!["cbj-dyn", "cbj", "evsids"]);
         // jobs=2 runs averaged faster.
         assert_eq!(entry.jobs, Some(2));
         // Seedless runs were strictly faster: veto.
@@ -278,7 +274,7 @@ mod tests {
     #[test]
     fn learned_profiles_round_trip_and_yield_plans() {
         let text = [
-            line(2, true, 10, 800, "cdcl"),
+            line(2, true, 10, 800, "evsids"),
             line(1, false, 0, 700, "cbj"),
         ]
         .join("\n");

@@ -12,7 +12,7 @@
 //!       "observations": 12,
 //!       "hclip_seed": false,
 //!       "seed_slice": 6,
-//!       "portfolio": ["cbj", "cdcl"],
+//!       "portfolio": ["cbj", "evsids"],
 //!       "jobs": 4
 //!     }
 //!   }
@@ -246,7 +246,7 @@ mod tests {
                 observations: 12,
                 hclip_seed: Some(false),
                 seed_slice: Some(6),
-                portfolio: vec!["cdcl".into(), "cbj".into()],
+                portfolio: vec!["evsids".into(), "cbj".into()],
                 jobs: Some(4),
             },
         );
@@ -273,13 +273,13 @@ mod tests {
                 observations: 5,
                 hclip_seed: Some(false),
                 seed_slice: None,
-                portfolio: vec!["cdcl".into()],
+                portfolio: vec!["evsids".into()],
                 jobs: Some(2),
             },
         );
         let plan = profile.plan_for(&key());
         assert_eq!(plan.hclip_seed, Some(false));
-        assert_eq!(plan.portfolio.as_deref(), Some(&["cdcl".to_string()][..]));
+        assert_eq!(plan.portfolio.as_deref(), Some(&["evsids".to_string()][..]));
         assert_eq!(plan.jobs, NonZeroUsize::new(2));
         assert_eq!(plan.source.as_deref(), Some("medium-dense-deep-flat"));
         // A missing key yields the untouched default plan.

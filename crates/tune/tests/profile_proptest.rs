@@ -33,7 +33,7 @@ fn entry_gen() -> Gen<ProfileEntry> {
             let n = rng.gen_range(0..=3usize);
             (0..n)
                 .map(|_| {
-                    ["cbj", "cdcl", "cbj-dyn", "mystery"][rng.gen_range(0..4usize)].to_string()
+                    ["cbj", "evsids", "cbj-dyn", "mystery"][rng.gen_range(0..4usize)].to_string()
                 })
                 .collect()
         },

@@ -44,8 +44,6 @@ struct SynthArgs {
     trace: Option<String>,
     critical: Vec<String>,
     profile: Option<String>,
-    no_theories: bool,
-    classic_search: bool,
     quiet: bool,
 }
 
@@ -72,8 +70,6 @@ impl Default for SynthArgs {
             trace: None,
             critical: Vec::new(),
             profile: None,
-            no_theories: false,
-            classic_search: false,
             quiet: false,
         }
     }
@@ -132,7 +128,7 @@ fn usage() {
         "usage:\n  clip cells\n  clip synth (--cell NAME | --expr FORMULA | --spice FILE) \
          [--rows N|auto] [--stacking]\n             [--limit SECS] [--fold K] \
          [--jobs N] [--profile FILE]\n             [--svg FILE] \
-         [--json FILE] [--cif FILE] [--trace FILE] [--no-theories] [--classic-search] [--quiet]\n    \
+         [--json FILE] [--cif FILE] [--trace FILE] [--quiet]\n    \
          objective options:\n             [--height] [--objective \
          width|width-height|height-width|weighted:W:H]\n             [--track-pitch N] \
          [--diffusion-overhead N] [--rail-overhead N]\n             [--interrow-weight W] \
@@ -245,8 +241,6 @@ fn parse_synth(args: &[String]) -> Result<SynthArgs, String> {
                 out.interrow_weight =
                     Some(take(&mut i)?.parse().map_err(|_| "bad --interrow-weight")?)
             }
-            "--no-theories" => out.no_theories = true,
-            "--classic-search" => out.classic_search = true,
             "--quiet" => out.quiet = true,
             "--critical" => out.critical.push(take(&mut i)?),
             "--svg" => out.svg = Some(take(&mut i)?),
@@ -349,17 +343,6 @@ fn synth(mut args: SynthArgs) -> ExitCode {
         .objective(objective_from_args(&args));
     if args.stacking {
         request = request.stacking();
-    }
-    if args.no_theories {
-        // Escape hatch for bisecting the typed constraint-theory engines:
-        // identical placements and traces, generic slack propagation only.
-        request = request.no_theories();
-    }
-    if args.classic_search {
-        // Escape hatch for bisecting the modern CDCL engine core (EVSIDS
-        // branching, Luby restarts, learned-DB deletion): identical
-        // placements and proved optima, classic search loop only.
-        request = request.classic_search();
     }
     if let Some(jobs) = args.jobs {
         request = request.jobs(jobs);

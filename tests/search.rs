@@ -1,22 +1,23 @@
-//! Pinned guarantee of the modern CDCL engine core: EVSIDS activity
-//! branching, Luby restarts, and PLBD-managed learned-constraint
-//! deletion change *which* search tree is explored, never *what* is
-//! proved. Each pinned cell is synthesized with the modern engine (the
-//! default) and with `--classic-search` (the committed static loop),
-//! and the proved-optimal results — placement, width, height, tracks,
-//! optimality — must be identical. The modern engine must also be
-//! deterministic in itself: run-to-run byte-identical traces at one
-//! job, placement-identical across job counts.
+//! Pinned determinism of the search: the pipeline reproduces its
+//! results run to run (byte-identical traces at one job, up to the
+//! clock) and across job counts (identical placements at 1, 2 and 8
+//! jobs, where the portfolio races CBJ against the CDCL loop), and the
+//! CDCL loop's learned-database counters reach the pipeline trace.
 
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use clip::core::generator::GeneratedCell;
-use clip::core::pipeline::{PipelineTrace, Stage};
+use clip::core::clipw::{ClipW, ClipWOptions};
+use clip::core::generator::{greedy_placement, GeneratedCell};
+use clip::core::pipeline::{Budget, Pipeline, PipelineTrace, Stage};
+use clip::core::share::ShareArray;
+use clip::core::unit::UnitSet;
 use clip::core::SynthRequest;
+use clip::layout::trace;
 use clip::netlist::{library, Circuit};
+use clip::pb::{SearchStrategy, Solver, SolverConfig};
 
-/// One pinned equivalence case: cell name, builder, row count.
+/// One pinned determinism case: cell name, builder, row count.
 type PinnedCase = (&'static str, fn() -> Circuit, usize);
 
 const CELLS: [PinnedCase; 3] = [
@@ -42,40 +43,12 @@ fn normalized(trace: &PipelineTrace) -> PipelineTrace {
     t
 }
 
-fn assert_same_cell(name: &str, classic: &GeneratedCell, modern: &GeneratedCell) {
-    assert_eq!(
-        classic.placement, modern.placement,
-        "{name}: placement drifted"
-    );
-    assert_eq!(classic.width, modern.width, "{name}: width drifted");
-    assert_eq!(classic.height, modern.height, "{name}: height drifted");
-    assert_eq!(classic.tracks, modern.tracks, "{name}: tracks drifted");
-    assert_eq!(
-        classic.optimal, modern.optimal,
-        "{name}: optimality drifted"
-    );
-}
-
-#[test]
-fn modern_engine_matches_classic_results_on_pinned_cells() {
-    for (name, build, rows) in CELLS {
-        let modern = SynthRequest::new(build())
-            .rows(rows)
-            .jobs(NonZeroUsize::MIN)
-            .build()
-            .unwrap_or_else(|e| panic!("{name}: modern engine fails: {e}"));
-        let classic = SynthRequest::new(build())
-            .rows(rows)
-            .jobs(NonZeroUsize::MIN)
-            .classic_search()
-            .build()
-            .unwrap_or_else(|e| panic!("{name}: classic search fails: {e}"));
-        assert_same_cell(name, &classic.cell, &modern.cell);
-        assert!(
-            modern.cell.optimal,
-            "{name}: pinned cells must prove optimality"
-        );
-    }
+fn assert_same_cell(name: &str, a: &GeneratedCell, b: &GeneratedCell) {
+    assert_eq!(a.placement, b.placement, "{name}: placement drifted");
+    assert_eq!(a.width, b.width, "{name}: width drifted");
+    assert_eq!(a.height, b.height, "{name}: height drifted");
+    assert_eq!(a.tracks, b.tracks, "{name}: tracks drifted");
+    assert_eq!(a.optimal, b.optimal, "{name}: optimality drifted");
 }
 
 #[test]
@@ -91,16 +64,18 @@ fn modern_engine_is_reproducible_run_to_run() {
             .jobs(NonZeroUsize::MIN)
             .build()
             .unwrap_or_else(|e| panic!("{name}: second run fails: {e}"));
+        assert!(
+            first.cell.optimal,
+            "{name}: pinned cells must prove optimality"
+        );
         assert_same_cell(name, &first.cell, &second.cell);
-        // Byte-identical modulo the clock: node counts, restart and
-        // learned-DB counters, PLBD histogram, incumbent trail — the
-        // whole trace replays exactly. Restarts and deletion are driven
-        // by conflict counts, never by wall time, which is what makes
-        // this hold.
+        // Byte-identical modulo the clock: node and conflict counts,
+        // per-class counters, incumbent trail — the whole trace replays
+        // exactly.
         assert_eq!(
             normalized(&first.cell.trace),
             normalized(&second.cell.trace),
-            "{name}: modern engine trace is not reproducible"
+            "{name}: trace is not reproducible"
         );
     }
 }
@@ -125,60 +100,47 @@ fn modern_engine_matches_placements_across_job_counts() {
 }
 
 #[test]
-fn modern_engine_matches_classic_in_hierarchical_mode() {
-    for (name, build, rows) in [
-        ("xor2", library::xor2 as fn() -> Circuit, 2usize),
-        ("mux21", library::mux21, 3),
-    ] {
-        let modern = SynthRequest::new(build())
-            .rows(rows)
-            .hierarchical()
-            .jobs(NonZeroUsize::MIN)
-            .build()
-            .unwrap_or_else(|e| panic!("{name} hier: modern engine fails: {e}"));
-        let classic = SynthRequest::new(build())
-            .rows(rows)
-            .hierarchical()
-            .jobs(NonZeroUsize::MIN)
-            .classic_search()
-            .build()
-            .unwrap_or_else(|e| panic!("{name} hier: classic search fails: {e}"));
-        assert_same_cell(&format!("{name} hier"), &classic.cell, &modern.cell);
-        let (h_modern, h_classic) = (modern.hier.expect("hier"), classic.hier.expect("hier"));
-        assert_eq!(
-            h_classic.placement, h_modern.placement,
-            "{name}: hier placement"
-        );
-        assert_eq!(h_classic.width, h_modern.width, "{name}: hier width");
-    }
-}
-
-#[test]
 fn modern_stats_reach_the_pipeline_trace() {
-    // The new SolveStats fields must survive the trip through the
-    // pipeline trace on a cell that actually learns constraints.
-    let run = SynthRequest::new(library::xor2())
-        .rows(2)
-        .jobs(NonZeroUsize::MIN)
-        .build()
-        .expect("xor2 generates");
-    let solve = run
-        .cell
-        .trace
-        .stages
-        .iter()
-        .find(|s| s.stage == Stage::Solve)
-        .expect("solve stage recorded");
-    let stats = solve.solve.as_ref().expect("solve stats");
+    // The CDCL loop's learned-database counters must survive the trip
+    // through a pipeline stage record and the trace document. A one-job
+    // request runs CBJ, which learns nothing, so the stage solves
+    // dlatch x2 with the CDCL loop: its greedy warm start does not prove
+    // at the root, and the search learns, restarts and reduces.
+    let units = UnitSet::flat(library::dlatch().into_paired().expect("dlatch pairs"));
+    let share = ShareArray::new(&units);
+    let clipw = ClipW::build(&units, &share, &ClipWOptions::new(2)).expect("model builds");
+    let warm_start =
+        greedy_placement(&units, &share, 2).and_then(|p| clipw.warm_assignment(&units, &p));
+    let mut pipeline = Pipeline::new(Budget::default());
+    pipeline.stage(Stage::Solve, |budget, rec| {
+        let out = Solver::with_config(
+            clipw.model(),
+            SolverConfig {
+                strategy: SearchStrategy::Cdcl,
+                brancher: Some(clipw.brancher()),
+                warm_start,
+                budget: budget.clone(),
+                ..Default::default()
+            },
+        )
+        .run();
+        assert!(out.is_optimal(), "dlatch x2 proves");
+        rec.solve = Some(out.stats().clone());
+    });
+    let recorded = pipeline.into_trace();
+    let parsed = trace::parse(&trace::to_json(&recorded)).expect("trace parses back");
+    assert_eq!(parsed, recorded);
+    let stats = parsed.stages[0].solve.as_ref().expect("solve stats");
+    assert!(stats.learned > 0, "the CDCL solve learned nothing");
+    assert!(stats.restarts > 0 && stats.learned_deleted > 0, "{stats:?}");
     assert_eq!(
         stats.learned_kept + stats.learned_deleted,
         stats.learned,
         "kept + deleted must account for every learned constraint"
     );
-    if stats.learned > 0 {
-        assert!(
-            !stats.plbd_hist.is_empty(),
-            "learning without a PLBD histogram"
-        );
-    }
+    assert_eq!(
+        stats.plbd_hist.iter().sum::<u64>(),
+        stats.learned,
+        "every learned constraint lands in the PLBD histogram"
+    );
 }

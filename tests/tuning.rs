@@ -19,7 +19,7 @@ fn aggressive_plan() -> TuningPlan {
     TuningPlan {
         hclip_seed: Some(false),
         seed_slice: Some(6),
-        portfolio: Some(vec!["cdcl".into(), "cbj-dyn".into(), "cbj".into()]),
+        portfolio: Some(vec!["evsids".into(), "cbj-dyn".into(), "cbj".into()]),
         jobs: NonZeroUsize::new(8),
         source: None,
     }
