@@ -636,11 +636,17 @@ pub fn ablation(limit: Duration) -> String {
         };
         let outcome = Solver::with_config(clipw.model(), config).run();
         let stats = outcome.stats();
+        // The CDCL loop branches by variable activity; only CBJ reads
+        // the configured heuristic.
+        let branching = match strategy {
+            SearchStrategy::Cdcl => "activity".to_owned(),
+            _ => format!("{heuristic:?}"),
+        };
         let _ = writeln!(
             out,
             "{:<10} {:<16} {:<9} {:<6} {:>10.3} {:>10} {:>10} {:>8}",
             sname,
-            format!("{heuristic:?}"),
+            branching,
             bname,
             use_warm,
             stats.duration.as_secs_f64(),

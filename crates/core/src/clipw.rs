@@ -246,27 +246,24 @@ impl ClipW {
                             continue;
                         }
                         let Some(xj) = x[j][s + 1][r] else { continue };
-                        match share.groups(i, j) {
-                            None => {
-                                // Never mergeable: adjacency forces a gap.
-                                m.add_ge([(1, g), (-1, xi), (-1, xj)], -1);
-                            }
-                            Some(_) => {
-                                // One aggregated constraint per left
-                                // orientation: a gap is forced unless the
-                                // right unit takes a compatible one.
-                                //   gap >= X_i + X_j + Xor_i - sum(compat Xor_j) - 2
-                                for oi in units.units()[i].orients() {
-                                    let vi = orient_var(&xor, i, oi);
-                                    let mut terms: Vec<(i64, Var)> =
-                                        vec![(1, g), (-1, xi), (-1, xj), (-1, vi)];
-                                    for oj in units.units()[j].orients() {
-                                        if share.shares(i, oi, j, oj) {
-                                            terms.push((1, orient_var(&xor, j, oj)));
-                                        }
+                        if !share.mergeable(i, j) {
+                            // Never mergeable: adjacency forces a gap.
+                            m.add_ge([(1, g), (-1, xi), (-1, xj)], -1);
+                        } else {
+                            // One aggregated constraint per left
+                            // orientation: a gap is forced unless the
+                            // right unit takes a compatible one.
+                            //   gap >= X_i + X_j + Xor_i - sum(compat Xor_j) - 2
+                            for oi in units.units()[i].orients() {
+                                let vi = orient_var(&xor, i, oi);
+                                let mut terms: Vec<(i64, Var)> =
+                                    vec![(1, g), (-1, xi), (-1, xj), (-1, vi)];
+                                for oj in units.units()[j].orients() {
+                                    if share.shares(i, oi, j, oj) {
+                                        terms.push((1, orient_var(&xor, j, oj)));
                                     }
-                                    m.add_ge(terms, -2);
                                 }
+                                m.add_ge(terms, -2);
                             }
                         }
                     }

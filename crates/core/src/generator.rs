@@ -11,6 +11,7 @@
 use std::error::Error;
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use clip_netlist::{Circuit, PairCircuitError};
@@ -27,7 +28,7 @@ use crate::cluster;
 use crate::objective::ObjectiveSpec;
 use crate::orient::Orient;
 use crate::pipeline::{Budget, Pipeline, PipelineTrace, Stage, StageRecord};
-use crate::share::ShareArray;
+use crate::share::{bit, ShareArray};
 use crate::solution::Placement;
 use crate::tuning::TuningPlan;
 use crate::unit::UnitSet;
@@ -858,6 +859,12 @@ pub fn greedy_placement(units: &UnitSet, share: &ShareArray, rows: usize) -> Opt
 /// (`exhaustive_small = true`); the *baseline comparator* in
 /// `clip-baselines` deliberately passes `false` so it stays an honest
 /// heuristic of the class the paper compares against.
+///
+/// The search stops as soon as its incumbent reaches
+/// [`bounds::width_lower_bound`]: every order's width is the width of a
+/// legal placement, so none is below the bound, and an incumbent is only
+/// ever replaced by a strictly narrower one — the rest of the search could
+/// not change the result.
 pub fn greedy_placement_with(
     units: &UnitSet,
     share: &ShareArray,
@@ -868,26 +875,40 @@ pub fn greedy_placement_with(
     if rows == 0 || rows > n {
         return None;
     }
+    let mut search = GreedySearch {
+        scorer: OrderScorer::new(units, share, rows, n),
+        best: None,
+        floor: bounds::width_lower_bound(units, share, rows)?,
+    };
 
     // Multi-start nearest-neighbour orders.
-    let mut best: Option<(usize, Placement)> = None;
     for start in 0..n {
-        let order = nearest_neighbour_order(units, share, start);
-        consider(units, share, rows, &order, &mut best);
+        search.consider(&nearest_neighbour_order(units, share, start));
+        if search.at_floor() {
+            return search.into_placement();
+        }
     }
 
     // Small problems: evaluate every order (the per-order orientation DP
     // keeps this cheap). Near-exact seeds make the ILP's job pure proof.
     if exhaustive_small && n <= 8 {
         let mut order: Vec<usize> = (0..n).collect();
-        permute_orders(&mut order, 0, &mut |p| {
-            consider(units, share, rows, p, &mut best);
+        let swept = permute_orders(&mut order, 0, &mut |p| {
+            search.consider(p);
+            if search.at_floor() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
         });
+        if swept.is_break() {
+            return search.into_placement();
+        }
     }
 
     // Pairwise-swap hill climbing on the best order found.
     let mut order: Vec<usize> = {
-        let (_, p) = best.as_ref()?;
+        let (_, p) = search.best.as_ref()?;
         p.rows.iter().flatten().map(|pu| pu.unit).collect()
     };
     let mut improved = true;
@@ -898,29 +919,36 @@ pub fn greedy_placement_with(
         for i in 0..n {
             for j in i + 1..n {
                 order.swap(i, j);
-                let before = best.as_ref().map(|&(w, _)| w);
-                consider(units, share, rows, &order, &mut best);
-                if best.as_ref().map(|&(w, _)| w) == before {
+                if !search.consider(&order) {
                     order.swap(i, j); // no improvement: undo
+                } else if search.at_floor() {
+                    return search.into_placement();
                 } else {
                     improved = true;
                 }
             }
         }
     }
-    best.map(|(_, p)| p)
+    search.into_placement()
 }
 
-fn permute_orders(order: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
+/// Visits every permutation of `order[k..]` in a fixed order until `f`
+/// breaks.
+fn permute_orders(
+    order: &mut Vec<usize>,
+    k: usize,
+    f: &mut impl FnMut(&[usize]) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     if k == order.len() {
-        f(order);
-        return;
+        return f(order);
     }
     for i in k..order.len() {
         order.swap(k, i);
-        permute_orders(order, k + 1, f);
+        let flow = permute_orders(order, k + 1, f);
         order.swap(k, i);
+        flow?;
     }
+    ControlFlow::Continue(())
 }
 
 /// Grows an order from `start`, always appending a unit that can abut the
@@ -929,36 +957,191 @@ fn nearest_neighbour_order(units: &UnitSet, share: &ShareArray, start: usize) ->
     let n = units.len();
     let mut remaining: Vec<usize> = (0..n).filter(|&u| u != start).collect();
     let mut order = vec![start];
-    let mut last_orients: Vec<Orient> = units.units()[start].orients();
     while !remaining.is_empty() {
         let last = *order.last().expect("order non-empty");
-        let pick = remaining.iter().position(|&cand| {
-            last_orients.iter().any(|&oi| {
-                units.units()[cand]
-                    .orients()
-                    .iter()
-                    .any(|&oj| share.shares(last, oi, cand, oj))
-            })
-        });
+        let pick = remaining
+            .iter()
+            .position(|&cand| share.mergeable(last, cand));
         let k = pick.unwrap_or(0);
-        let unit = remaining.remove(k);
-        last_orients = units.units()[unit].orients();
-        order.push(unit);
+        order.push(remaining.remove(k));
     }
     order
 }
 
-/// Evaluates `order` (orientation DP + split DP) and updates `best`.
-fn consider(
-    units: &UnitSet,
-    share: &ShareArray,
+/// The greedy search's incumbent, the scorer that rates candidate orders,
+/// and the width no order can beat.
+struct GreedySearch<'a> {
+    scorer: OrderScorer<'a>,
+    best: Option<(usize, Placement)>,
+    floor: usize,
+}
+
+impl GreedySearch<'_> {
+    /// Scores `order` and, on a strict improvement only, builds its
+    /// placement as the new incumbent. Returns whether it improved.
+    fn consider(&mut self, order: &[usize]) -> bool {
+        let width = self.scorer.score(order);
+        if self.best.as_ref().is_some_and(|&(w, _)| width >= w) {
+            return false;
+        }
+        self.best = Some(self.scorer.build(order));
+        true
+    }
+
+    /// True once the incumbent sits on the width lower bound.
+    fn at_floor(&self) -> bool {
+        self.best.as_ref().is_some_and(|&(w, _)| w == self.floor)
+    }
+
+    fn into_placement(self) -> Option<Placement> {
+        self.best.map(|(_, p)| p)
+    }
+}
+
+/// The per-order DPs of [`evaluate_order`] over scratch buffers sized once
+/// for orders of one length: [`OrderScorer::score`] allocates nothing, and
+/// [`OrderScorer::build`] turns the order scored last into its placement.
+struct OrderScorer<'a> {
+    units: &'a UnitSet,
+    share: &'a ShareArray,
     rows: usize,
-    order: &[usize],
-    best: &mut Option<(usize, Placement)>,
-) {
-    let (width, placement) = evaluate_order(units, share, order, rows);
-    if best.as_ref().is_none_or(|&(w, _)| width < w) {
-        *best = Some((width, placement));
+    /// Order length.
+    n: usize,
+    /// Each unit's allowed orientations, by unit id.
+    orients: Vec<Vec<Orient>>,
+    /// Orientation DP, four slots per position: `(merges, back-pointer)`.
+    dp: Vec<(usize, usize)>,
+    /// The chosen orientation of each position.
+    chosen: Vec<Orient>,
+    /// `widths[k]`: total unit width of positions `0..k`.
+    widths: Vec<usize>,
+    /// `gaps[k]`: unmerged boundaries among the first `k` boundaries.
+    gaps: Vec<usize>,
+    /// Split DP, `rows + 1` slots per prefix length: the least max row
+    /// width of the prefix in that many rows, and its last cut.
+    f: Vec<usize>,
+    cut_back: Vec<usize>,
+}
+
+impl<'a> OrderScorer<'a> {
+    fn new(units: &'a UnitSet, share: &'a ShareArray, rows: usize, n: usize) -> Self {
+        OrderScorer {
+            units,
+            share,
+            rows,
+            n,
+            orients: units.units().iter().map(|u| u.orients()).collect(),
+            dp: vec![(0, 0); 4 * n],
+            chosen: vec![Orient::O1; n],
+            widths: vec![0; n + 1],
+            gaps: vec![0; n],
+            f: vec![0; (n + 1) * (rows + 1)],
+            cut_back: vec![0; (n + 1) * (rows + 1)],
+        }
+    }
+
+    /// For a fixed unit order: chooses orientations maximizing the number
+    /// of merged boundaries (DP over the previous unit's orientation),
+    /// then splits into `rows` contiguous non-empty segments minimizing
+    /// the maximum segment width (DP). Returns that width.
+    fn score(&mut self, order: &[usize]) -> usize {
+        let n = self.n;
+        assert_eq!(order.len(), n, "order length differs from the scorer's");
+
+        // Orientation DP: state = orientation index of unit k. Ties keep
+        // the last previous orientation reaching the maximum.
+        self.dp[..self.orients[order[0]].len()].fill((0, 0));
+        for k in 1..n {
+            let mask = self.share.mask(order[k - 1], order[k]);
+            let prev = &self.orients[order[k - 1]];
+            for (ji, &oj) in self.orients[order[k]].iter().enumerate() {
+                let mut cell = (0usize, 0usize);
+                for (pi, &oi) in prev.iter().enumerate() {
+                    let merges = self.dp[4 * (k - 1) + pi].0 + usize::from(mask & bit(oi, oj) != 0);
+                    if merges >= cell.0 {
+                        cell = (merges, pi);
+                    }
+                }
+                self.dp[4 * k + ji] = cell;
+            }
+        }
+        // Trace back from the last orientation reaching the maximum.
+        let last = self.orients[order[n - 1]].len();
+        let mut oi = 0;
+        for i in 1..last {
+            if self.dp[4 * (n - 1) + i].0 >= self.dp[4 * (n - 1) + oi].0 {
+                oi = i;
+            }
+        }
+        for k in (0..n).rev() {
+            self.chosen[k] = self.orients[order[k]][oi];
+            oi = self.dp[4 * k + oi].1;
+        }
+
+        // Prefix sums of unit widths and of unmerged boundaries under the
+        // chosen orientations.
+        for k in 0..n {
+            self.widths[k + 1] = self.widths[k] + self.units.units()[order[k]].width;
+        }
+        for k in 1..n {
+            let mask = self.share.mask(order[k - 1], order[k]);
+            let merged = mask & bit(self.chosen[k - 1], self.chosen[k]) != 0;
+            self.gaps[k] = self.gaps[k - 1] + usize::from(!merged);
+        }
+        // seg(l, h) = width of the segment covering positions l..=h.
+        let seg = |widths: &[usize], gaps: &[usize], l: usize, h: usize| {
+            widths[h + 1] - widths[l] + gaps[h] - gaps[l]
+        };
+
+        // Split DP: f[k][r] = min over splits of positions 0..k into r rows
+        // of the max row width; a cut only replaces a strictly worse one.
+        let rows = self.rows;
+        let stride = rows + 1;
+        let inf = usize::MAX / 2;
+        self.f.fill(inf);
+        self.f[0] = 0;
+        self.cut_back.fill(0);
+        for k in 1..=n {
+            for r in 1..=rows.min(k) {
+                for l in r - 1..k {
+                    let head = self.f[l * stride + r - 1];
+                    if head == inf {
+                        continue;
+                    }
+                    let w = head.max(seg(&self.widths, &self.gaps, l, k - 1));
+                    if w < self.f[k * stride + r] {
+                        self.f[k * stride + r] = w;
+                        self.cut_back[k * stride + r] = l;
+                    }
+                }
+            }
+        }
+        self.f[n * stride + rows]
+    }
+
+    /// The placement of the order [`OrderScorer::score`] rated last, with
+    /// its width.
+    fn build(&self, order: &[usize]) -> (usize, Placement) {
+        let stride = self.rows + 1;
+        let mut cuts = Vec::with_capacity(self.rows - 1);
+        let mut k = self.n;
+        for r in (1..=self.rows).rev() {
+            let l = self.cut_back[k * stride + r];
+            if r > 1 {
+                cuts.push(l);
+            }
+            k = l;
+        }
+        cuts.reverse();
+        let built = crate::exhaustive::placement_from_order(
+            self.units,
+            self.share,
+            order,
+            &self.chosen,
+            &cuts,
+        );
+        debug_assert_eq!(built.0, self.f[self.n * stride + self.rows]);
+        built
     }
 }
 
@@ -974,82 +1157,9 @@ pub fn evaluate_order(
 ) -> (usize, Placement) {
     let n = order.len();
     assert!(rows >= 1 && rows <= n, "invalid row count for evaluation");
-
-    // Orientation DP: state = orientation index of unit k.
-    let orient_sets: Vec<Vec<Orient>> = order.iter().map(|&u| units.units()[u].orients()).collect();
-    let mut dp: Vec<Vec<(usize, usize)>> = Vec::with_capacity(n); // (merges, back-pointer)
-    dp.push(vec![(0, 0); orient_sets[0].len()]);
-    for k in 1..n {
-        let mut row_dp = Vec::with_capacity(orient_sets[k].len());
-        for &oj in orient_sets[k].iter() {
-            let mut cell = (0usize, 0usize);
-            for (pi, &oi) in orient_sets[k - 1].iter().enumerate() {
-                let m = dp[k - 1][pi].0 + usize::from(share.shares(order[k - 1], oi, order[k], oj));
-                if m >= cell.0 {
-                    cell = (m, pi);
-                }
-            }
-            row_dp.push(cell);
-        }
-        dp.push(row_dp);
-    }
-    // Trace back the best orientation sequence.
-    let mut oi = dp[n - 1]
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &(m, _))| m)
-        .map(|(i, _)| i)
-        .expect("non-empty orientation set");
-    let mut orients = vec![Orient::O1; n];
-    for k in (0..n).rev() {
-        orients[k] = orient_sets[k][oi];
-        oi = dp[k][oi].1;
-    }
-
-    // Merge flags for the chosen orientations.
-    let merge: Vec<bool> = (0..n.saturating_sub(1))
-        .map(|k| share.shares(order[k], orients[k], order[k + 1], orients[k + 1]))
-        .collect();
-    let widths: Vec<usize> = order.iter().map(|&u| units.units()[u].width).collect();
-
-    // Split DP: seg(l, h) = width of segment covering positions l..=h.
-    let seg = |l: usize, h: usize| -> usize {
-        let base: usize = widths[l..=h].iter().sum();
-        let gaps = (l..h).filter(|&k| !merge[k]).count();
-        base + gaps
-    };
-    // f[k][r] = min over splits of positions 0..k into r rows of max width.
-    let inf = usize::MAX / 2;
-    let mut f = vec![vec![inf; rows + 1]; n + 1];
-    f[0][0] = 0;
-    let mut cut_back = vec![vec![0usize; rows + 1]; n + 1];
-    for k in 1..=n {
-        for r in 1..=rows.min(k) {
-            for l in r - 1..k {
-                if f[l][r - 1] == inf {
-                    continue;
-                }
-                let w = f[l][r - 1].max(seg(l, k - 1));
-                if w < f[k][r] {
-                    f[k][r] = w;
-                    cut_back[k][r] = l;
-                }
-            }
-        }
-    }
-    // Recover cut positions.
-    let mut cuts = Vec::with_capacity(rows - 1);
-    let mut k = n;
-    for r in (1..=rows).rev() {
-        let l = cut_back[k][r];
-        if r > 1 {
-            cuts.push(l);
-        }
-        k = l;
-    }
-    cuts.reverse();
-
-    crate::exhaustive::placement_from_order(units, share, order, &orients, &cuts)
+    let mut scorer = OrderScorer::new(units, share, rows, n);
+    scorer.score(order);
+    scorer.build(order)
 }
 
 #[cfg(test)]

@@ -6,8 +6,6 @@
 //! P and the N strip (the pairs occupy both strips of the row; a
 //! single-strip match would short the other strip).
 
-use std::collections::HashMap;
-
 use crate::orient::Orient;
 use crate::unit::{Unit, UnitId, UnitSet};
 
@@ -29,84 +27,121 @@ pub struct ShareEntry {
 /// by the left unit's orientation.
 pub type OrientGroups = Vec<(Orient, Vec<Orient>)>;
 
-/// The precomputed abutment relation over a unit set.
+/// The precomputed abutment relation over a unit set, stored once as a
+/// dense `n × n` table: entry `(i, j)` is a 16-bit mask whose bit
+/// `4·(oi − 1) + (oj − 1)` is set iff `(i, oi, j, oj)` abuts. Only a
+/// unit's allowed orientations ever get a bit, and the diagonal is zero
+/// (a unit never sits beside itself).
 #[derive(Clone, Debug)]
 pub struct ShareArray {
-    entries: Vec<ShareEntry>,
-    /// For each ordered unit pair `(i, j)`: the compatible orientation
-    /// combinations, grouped by `oi`.
-    by_pair: HashMap<(UnitId, UnitId), OrientGroups>,
+    n: usize,
+    masks: Vec<u16>,
+}
+
+/// The mask bit of one orientation combination.
+pub(crate) fn bit(oi: Orient, oj: Orient) -> u16 {
+    1 << ((oi.index() - 1) * 4 + (oj.index() - 1))
 }
 
 impl ShareArray {
     /// Computes the abutment relation for every ordered unit pair and
     /// orientation combination.
     pub fn new(units: &UnitSet) -> Self {
-        let mut entries = Vec::new();
-        let mut by_pair: HashMap<(UnitId, UnitId), OrientGroups> = HashMap::new();
+        let n = units.len();
+        let mut masks = vec![0u16; n * n];
         for (i, ui) in units.units().iter().enumerate() {
             for (j, uj) in units.units().iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                let mut groups: Vec<(Orient, Vec<Orient>)> = Vec::new();
                 for oi in ui.orients() {
-                    let compatible: Vec<Orient> = uj
-                        .orients()
-                        .into_iter()
-                        .filter(|&oj| abuts(ui, oi, uj, oj))
-                        .collect();
-                    if !compatible.is_empty() {
-                        for &oj in &compatible {
-                            entries.push(ShareEntry { i, oi, j, oj });
+                    for oj in uj.orients() {
+                        if abuts(ui, oi, uj, oj) {
+                            masks[i * n + j] |= bit(oi, oj);
                         }
-                        groups.push((oi, compatible));
                     }
-                }
-                if !groups.is_empty() {
-                    by_pair.insert((i, j), groups);
                 }
             }
         }
-        ShareArray { entries, by_pair }
+        ShareArray { n, masks }
     }
 
-    /// All abutment entries (the rows of Fig. 2b).
-    pub fn entries(&self) -> &[ShareEntry] {
-        &self.entries
+    /// The orientation-combination mask of ordered pair `(i, j)`; zero
+    /// for out-of-range ids.
+    pub(crate) fn mask(&self, i: UnitId, j: UnitId) -> u16 {
+        if i < self.n && j < self.n {
+            self.masks[i * self.n + j]
+        } else {
+            0
+        }
+    }
+
+    /// All abutment entries (the rows of Fig. 2b), ordered by `i`, `j`,
+    /// `oi`, `oj`.
+    pub fn entries(&self) -> Vec<ShareEntry> {
+        let mut entries = Vec::with_capacity(self.len());
+        for i in 0..self.n {
+            for j in 0..self.n {
+                for oi in Orient::ALL {
+                    for oj in Orient::ALL {
+                        if self.shares(i, oi, j, oj) {
+                            entries.push(ShareEntry { i, oi, j, oj });
+                        }
+                    }
+                }
+            }
+        }
+        entries
     }
 
     /// True if `(i, oi, j, oj)` is a legal abutment.
     pub fn shares(&self, i: UnitId, oi: Orient, j: UnitId, oj: Orient) -> bool {
-        self.by_pair.get(&(i, j)).is_some_and(|groups| {
-            groups
-                .iter()
-                .any(|(goi, ojs)| *goi == oi && ojs.contains(&oj))
-        })
+        self.mask(i, j) & bit(oi, oj) != 0
+    }
+
+    /// True if ordered pair `(i, j)` abuts under some orientation
+    /// combination — the pairs for which a `merged` variable exists.
+    pub(crate) fn mergeable(&self, i: UnitId, j: UnitId) -> bool {
+        self.mask(i, j) != 0
     }
 
     /// The compatible orientation groups for ordered pair `(i, j)`:
-    /// for each left orientation, the right orientations that abut.
-    pub fn groups(&self, i: UnitId, j: UnitId) -> Option<&[(Orient, Vec<Orient>)]> {
-        self.by_pair.get(&(i, j)).map(|g| g.as_slice())
+    /// for each left orientation, the right orientations that abut, both
+    /// in paper order. `None` when the pair never abuts.
+    pub fn groups(&self, i: UnitId, j: UnitId) -> Option<OrientGroups> {
+        if !self.mergeable(i, j) {
+            return None;
+        }
+        let groups: OrientGroups = Orient::ALL
+            .into_iter()
+            .filter_map(|oi| {
+                let compatible: Vec<Orient> = Orient::ALL
+                    .into_iter()
+                    .filter(|&oj| self.shares(i, oi, j, oj))
+                    .collect();
+                (!compatible.is_empty()).then_some((oi, compatible))
+            })
+            .collect();
+        Some(groups)
     }
 
     /// Ordered unit pairs with at least one compatible combination — the
-    /// pairs for which a `merged` variable exists.
+    /// pairs for which a `merged` variable exists — in ascending order.
     pub fn mergeable_pairs(&self) -> Vec<(UnitId, UnitId)> {
-        let mut keys: Vec<(UnitId, UnitId)> = self.by_pair.keys().copied().collect();
-        keys.sort();
-        keys
+        (0..self.n)
+            .flat_map(|i| (0..self.n).map(move |j| (i, j)))
+            .filter(|&(i, j)| self.mergeable(i, j))
+            .collect()
     }
 
     /// Number of entries (reported in the model statistics table).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.masks.iter().map(|m| m.count_ones() as usize).sum()
     }
 
     /// True if no abutment is possible anywhere.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.masks.iter().all(|&m| m == 0)
     }
 }
 
@@ -160,6 +195,41 @@ mod tests {
     }
 
     #[test]
+    fn dense_table_agrees_with_abuts_on_the_library() {
+        let circuits = library::evaluation_suite()
+            .into_iter()
+            .chain(library::extended_suite());
+        for circuit in circuits {
+            let name = circuit.name().to_owned();
+            let paired = circuit.into_paired().unwrap();
+            let clustered = crate::cluster::cluster_and_stacks(paired.clone());
+            for units in [UnitSet::flat(paired), clustered] {
+                let share = ShareArray::new(&units);
+                let mut count = 0;
+                for (i, ui) in units.units().iter().enumerate() {
+                    for (j, uj) in units.units().iter().enumerate() {
+                        for oi in Orient::ALL {
+                            for oj in Orient::ALL {
+                                let allowed =
+                                    ui.orients().contains(&oi) && uj.orients().contains(&oj);
+                                let want = i != j && allowed && abuts(ui, oi, uj, oj);
+                                assert_eq!(
+                                    share.shares(i, oi, j, oj),
+                                    want,
+                                    "{name}: ({i},{oi},{j},{oj})"
+                                );
+                                count += usize::from(want);
+                            }
+                        }
+                    }
+                }
+                assert_eq!(share.len(), count, "{name}");
+                assert_eq!(share.entries().len(), count, "{name}");
+            }
+        }
+    }
+
+    #[test]
     fn share_is_reversal_symmetric() {
         // If j fits right of i, then i (reversed) fits right of j
         // (reversed) — the mirrored layout. Only guaranteed when both
@@ -183,7 +253,7 @@ mod tests {
         for (i, j) in pairs {
             let groups = share.groups(i, j).unwrap();
             assert!(!groups.is_empty());
-            for (oi, ojs) in groups {
+            for (oi, ojs) in &groups {
                 for oj in ojs {
                     assert!(share.shares(i, *oi, j, *oj));
                 }

@@ -350,47 +350,72 @@ pub fn mux41() -> Circuit {
     m0
 }
 
+/// A built-in cell: its name and its constructor.
+type Cell = (&'static str, fn() -> Circuit);
+
+/// Every built-in cell: the paper's evaluation cells in Table 3 order,
+/// then the extended standard cells. Each name is the name of the circuit
+/// its constructor builds.
+const CELLS: [Cell; 30] = [
+    ("xor2", xor2),
+    ("bridge", bridge),
+    ("two_level_z", two_level_z),
+    ("mux21", mux21),
+    ("dlatch", dlatch),
+    ("aoi222", aoi222),
+    ("xor3", xor3),
+    ("full_adder", full_adder),
+    ("inv", inverter),
+    ("nand2", nand2),
+    ("nand3", nand3),
+    ("nand4", nand4),
+    ("nor2", nor2),
+    ("nor3", nor3),
+    ("nor4", nor4),
+    ("aoi21", aoi21),
+    ("aoi22", aoi22),
+    ("oai21", oai21),
+    ("oai22", oai22),
+    ("xnor2", xnor2),
+    ("half_adder", half_adder),
+    ("mux41", mux41),
+    ("buffer", buffer),
+    ("and2", and2),
+    ("or2", or2),
+    ("and3", and3),
+    ("or3", or3),
+    ("nand2b", nand2b),
+    ("majority3", majority3),
+    ("ao21", ao21),
+];
+
+/// How many of [`CELLS`] belong to [`evaluation_suite`].
+const EVALUATION_CELLS: usize = 8;
+
 /// All benchmark circuits used by the paper-style evaluation, in Table 3
 /// order, followed by the larger cells.
 pub fn evaluation_suite() -> Vec<Circuit> {
-    vec![
-        xor2(),
-        bridge(),
-        two_level_z(),
-        mux21(),
-        dlatch(),
-        aoi222(),
-        xor3(),
-        full_adder(),
-    ]
+    CELLS[..EVALUATION_CELLS]
+        .iter()
+        .map(|(_, build)| build())
+        .collect()
 }
 
 /// Additional standard cells beyond the paper's evaluation set.
 pub fn extended_suite() -> Vec<Circuit> {
-    vec![
-        inverter(),
-        nand2(),
-        nand3(),
-        nand4(),
-        nor2(),
-        nor3(),
-        nor4(),
-        aoi21(),
-        aoi22(),
-        oai21(),
-        oai22(),
-        xnor2(),
-        half_adder(),
-        mux41(),
-        buffer(),
-        and2(),
-        or2(),
-        and3(),
-        or3(),
-        nand2b(),
-        majority3(),
-        ao21(),
-    ]
+    CELLS[EVALUATION_CELLS..]
+        .iter()
+        .map(|(_, build)| build())
+        .collect()
+}
+
+/// Builds the built-in cell named `name` (as [`Circuit::name`] reports
+/// it), or `None` for an unknown name. Only that one circuit is built.
+pub fn by_name(name: &str) -> Option<Circuit> {
+    CELLS
+        .iter()
+        .find(|&&(cell, _)| cell == name)
+        .map(|(_, build)| build())
 }
 
 fn gate(name: &str, formula: &str) -> Circuit {
@@ -662,6 +687,23 @@ mod tests {
             let paired = c.into_paired().unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(paired.len() * 2, paired.circuit().devices().len(), "{name}");
         }
+    }
+
+    #[test]
+    fn by_name_builds_every_cell_of_both_suites() {
+        let suites: Vec<Circuit> = evaluation_suite()
+            .into_iter()
+            .chain(extended_suite())
+            .collect();
+        assert_eq!(suites.len(), CELLS.len());
+        for (circuit, &(name, _)) in suites.iter().zip(&CELLS) {
+            assert_eq!(circuit.name(), name);
+            let built = by_name(name).unwrap_or_else(|| panic!("{name} not found"));
+            assert_eq!(built.name(), name);
+            assert_eq!(crate::spice::write(&built), crate::spice::write(circuit));
+        }
+        assert!(by_name("nandzilla").is_none());
+        assert!(by_name("").is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ## Architecture
 //!
 //! ```text
-//! accept loop (nonblocking, polls shutdown)
+//! accept loop (blocking accept; a watcher wakes it on shutdown)
 //!   └─ reader thread per connection (100 ms read timeout)
 //!        ├─ parse line  ──bad──────────────► bad_request response
 //!        ├─ stats/shutdown ─────────────────► inline response
@@ -15,14 +15,21 @@
 //!
 //! Responses may be written out of order by different workers; the
 //! per-connection write mutex keeps each *line* atomic and the `id`
-//! field correlates. Shutdown (SIGTERM, SIGINT, or `{"op":"shutdown"}`)
-//! closes the listener, lets readers wind down on their next timeout
-//! tick, lets workers drain every queued job, then syncs the memo
-//! cache. Nothing in this module blocks without a timeout, so a signal
-//! always turns into an exit.
+//! field correlates.
+//!
+//! A fresh connection is accepted the moment it arrives: the accept
+//! blocks. A watcher thread that [`Server::run`] starts polls the
+//! shutdown flag every `POLL` (50 ms); once shutdown (SIGTERM, SIGINT, or
+//! `{"op":"shutdown"}`) has begun, it connects to the listener itself to
+//! wake the accept. The drain then closes the listener and drops the
+//! admission queue's only sender: readers stop admitting and wind down
+//! on their next timeout tick, and each worker answers every queued job
+//! and exits the moment the queue is empty and disconnected, without
+//! waiting out a poll. The memo cache is synced last. Every other wait
+//! in this module has a timeout, so a signal always turns into an exit.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -38,7 +45,7 @@ use crate::faultpoint;
 use crate::protocol::{self, Envelope, Request, SynthSpec, MAX_LINE_BYTES};
 use crate::signals;
 
-/// How often blocked loops wake to poll the shutdown flag.
+/// How often the shutdown watcher and idle workers wake.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Where the daemon listens.
@@ -133,7 +140,10 @@ struct Job {
 }
 
 struct State {
-    tx: SyncSender<Job>,
+    /// The admission queue's only sender. Readers send under the lock;
+    /// the drain takes it, which ends admission and, once the queue is
+    /// empty, disconnects the workers.
+    tx: Mutex<Option<SyncSender<Job>>>,
     shutdown: AtomicBool,
     queue_cap: usize,
     per_conn_cap: usize,
@@ -200,7 +210,6 @@ impl Server {
                 ))
             }
         };
-        listener.set_nonblocking(true)?;
         let cache = match &config.cache_path {
             Some(path) => {
                 let cache = MemoCache::open_capped(path, config.cache_cap)?;
@@ -223,7 +232,7 @@ impl Server {
         };
         let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_cap.max(1));
         let state = Arc::new(State {
-            tx,
+            tx: Mutex::new(Some(tx)),
             shutdown: AtomicBool::new(false),
             queue_cap: config.queue_cap.max(1),
             per_conn_cap: config.per_conn_cap,
@@ -295,37 +304,56 @@ impl Server {
             workers,
             unix_path,
         } = self;
-        while !state.shutting_down() {
-            match listener.accept() {
-                Ok(conn) => {
-                    let state = Arc::clone(&state);
-                    // Reader threads are detached: they exit on their
-                    // next 100 ms timeout tick after shutdown, and hold
-                    // nothing the drain below depends on.
-                    let spawned = thread::Builder::new()
-                        .name("serve-reader".into())
-                        .spawn(move || reader_loop(&state, conn));
-                    if let Err(e) = spawned {
-                        eprintln!("clip-serve: reader spawn failed, shedding connection: {e}");
+        if !state.shutting_down() {
+            let wake = listener.wake_target(unix_path.as_deref())?;
+            let accepting = Arc::new(AtomicBool::new(true));
+            let watcher = {
+                let state = Arc::clone(&state);
+                let accepting = Arc::clone(&accepting);
+                thread::Builder::new()
+                    .name("serve-watcher".into())
+                    .spawn(move || watch_for_shutdown(&state, &accepting, &wake))?
+            };
+            while !state.shutting_down() {
+                match listener.accept() {
+                    // The watcher's wake-up, or a client racing the drain.
+                    Ok(_) if state.shutting_down() => break,
+                    Ok(conn) => {
+                        let state = Arc::clone(&state);
+                        // Reader threads are detached: they exit on their
+                        // next 100 ms timeout tick after shutdown, and hold
+                        // nothing the drain below depends on.
+                        let spawned = thread::Builder::new()
+                            .name("serve-reader".into())
+                            .spawn(move || reader_loop(&state, conn));
+                        if let Err(e) = spawned {
+                            eprintln!("clip-serve: reader spawn failed, shedding connection: {e}");
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        // Transient accept failures (EMFILE under load) must
+                        // not kill a long-running daemon.
+                        eprintln!("clip-serve: accept failed: {e}");
+                        thread::sleep(POLL);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Transient accept failures (EMFILE under load) must
-                    // not kill a long-running daemon.
-                    eprintln!("clip-serve: accept failed: {e}");
-                    thread::sleep(POLL);
-                }
+            }
+            accepting.store(false, Ordering::SeqCst);
+            watcher.thread().unpark();
+            if watcher.join().is_err() {
+                eprintln!("clip-serve: shutdown watcher panicked");
             }
         }
-        // Drain: stop accepting, let workers empty the queue, sync the
-        // cache. Readers stop admitting as soon as the flag is up.
+        // Drain: stop accepting, end admission, let workers empty the
+        // queue, sync the cache. Readers stop admitting as soon as the
+        // flag is up.
         state.shutdown.store(true, Ordering::SeqCst);
         drop(listener);
         if let Some(path) = unix_path {
             let _ = std::fs::remove_file(path);
         }
+        drop(state.tx.lock().unwrap_or_else(|e| e.into_inner()).take());
         for worker in workers {
             let _ = worker.join();
         }
@@ -333,6 +361,19 @@ impl Server {
             cache.lock().unwrap_or_else(|e| e.into_inner()).sync()?;
         }
         Ok(())
+    }
+}
+
+/// Polls the shutdown flag every [`POLL`] while the accept loop runs;
+/// once shutdown has begun, connects to the listener to wake its blocking
+/// accept (again each tick, should a wake-up connection fail). The accept
+/// loop unparks it when it ends, so joining it waits out no tick.
+fn watch_for_shutdown(state: &State, accepting: &AtomicBool, wake: &WakeTarget) {
+    while accepting.load(Ordering::SeqCst) {
+        if state.shutting_down() {
+            let _ = wake.connect();
+        }
+        thread::park_timeout(POLL);
     }
 }
 
@@ -345,14 +386,9 @@ fn worker_loop(state: &State, rx: &Mutex<Receiver<Job>>) {
             let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
             match rx.recv_timeout(POLL) {
                 Ok(job) => job,
-                Err(RecvTimeoutError::Timeout) => {
-                    // An empty queue after shutdown means the drain is
-                    // complete for this worker.
-                    if state.shutting_down() {
-                        return;
-                    }
-                    continue;
-                }
+                Err(RecvTimeoutError::Timeout) => continue,
+                // The drain dropped the sender and every admitted job
+                // has been received: this worker is done.
                 Err(RecvTimeoutError::Disconnected) => return,
             }
         };
@@ -545,7 +581,11 @@ fn handle_line(
             // it can never race the counter below zero; un-count on the
             // paths where it never reaches a worker.
             inflight.fetch_add(1, Ordering::SeqCst);
-            match state.tx.try_send(job) {
+            let admitted = match state.tx.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
+                Some(tx) => tx.try_send(job),
+                None => Err(TrySendError::Disconnected(job)),
+            };
+            match admitted {
                 Ok(()) => {}
                 Err(TrySendError::Full(job)) => {
                     // The 429 path: constant-time shed, no queueing.
@@ -592,29 +632,49 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+    fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
+            Listener::Tcp(l) => l.accept().map(|(stream, _)| Conn::Tcp(stream)),
             #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(nb),
+            Listener::Unix(l) => l.accept().map(|(stream, _)| Conn::Unix(stream)),
         }
     }
 
-    fn accept(&self) -> io::Result<Conn> {
+    /// Where a connection reaches this listener: its own address, with an
+    /// unspecified IP replaced by the loopback of the same family.
+    fn wake_target(&self, unix_path: Option<&std::path::Path>) -> io::Result<WakeTarget> {
         match self {
             Listener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                // The stream must block (with timeouts) even though the
-                // listener polls.
-                stream.set_nonblocking(false)?;
-                Ok(Conn::Tcp(stream))
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                Ok(WakeTarget::Tcp(addr))
             }
             #[cfg(unix)]
-            Listener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
-                Ok(Conn::Unix(stream))
-            }
+            Listener::Unix(_) => unix_path
+                .map(|path| WakeTarget::Unix(path.to_path_buf()))
+                .ok_or_else(|| io::Error::other("unix listener without a path")),
+        }
+    }
+}
+
+/// The address the shutdown watcher connects to.
+enum WakeTarget {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(PathBuf),
+}
+
+impl WakeTarget {
+    fn connect(&self) -> io::Result<()> {
+        match self {
+            WakeTarget::Tcp(addr) => TcpStream::connect_timeout(addr, POLL).map(drop),
+            #[cfg(unix)]
+            WakeTarget::Unix(path) => UnixStream::connect(path).map(drop),
         }
     }
 }

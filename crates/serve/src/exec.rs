@@ -362,10 +362,7 @@ pub fn execute_pareto(
 
 fn build_circuit(spec: &SynthSpec) -> Result<Circuit, ExecError> {
     match &spec.source {
-        Source::Cell(name) => library::evaluation_suite()
-            .into_iter()
-            .chain(library::extended_suite())
-            .find(|c| c.name() == name.as_str())
+        Source::Cell(name) => library::by_name(name)
             .ok_or_else(|| ExecError::BadRequest(format!("unknown cell {name:?}"))),
         Source::Deck(text) => {
             spice::parse("imported", text).map_err(|e| ExecError::BadRequest(e.to_string()))

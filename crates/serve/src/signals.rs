@@ -1,10 +1,9 @@
 //! SIGTERM/SIGINT → one atomic flag the accept loop polls.
 //!
 //! The only thing the handler does is store to a static `AtomicBool` —
-//! the canonical async-signal-safe action. The daemon's accept loop
-//! and worker drain poll [`requested`]; nothing blocks forever (reads
-//! and receives all use short timeouts), so a signal turns into a
-//! graceful drain within one poll interval.
+//! the canonical async-signal-safe action. The daemon's shutdown watcher
+//! polls [`requested`] and wakes the blocking accept, so a signal turns
+//! into a graceful drain within one poll interval.
 //!
 //! This is the one spot in the workspace that needs FFI (registering a
 //! handler has no std API), so the crate is `deny(unsafe_code)` with a

@@ -283,6 +283,60 @@ fn shutdown_request_drains_and_stops_the_server() {
     assert!(TcpStream::connect(&addr).is_err(), "listener closed");
 }
 
+/// The daemon's shutdown poll interval (`POLL` in `daemon.rs`).
+const POLL: Duration = Duration::from_millis(50);
+
+#[test]
+fn fresh_connections_are_accepted_without_a_poll_wait() {
+    let mut cache_path = std::env::temp_dir();
+    cache_path.push(format!(
+        "clip_serve_daemon_fresh_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&cache_path);
+    let server = start(ServeConfig {
+        workers: 2,
+        cache_path: Some(cache_path.clone()),
+        ..quiet_config()
+    });
+    let request = r#"{"op":"synth","id":"f","cell":"nand2","rows":2,"jobs":1}"#;
+    // Prime the cache on a kept-open connection, so the timed requests
+    // are hits and their time is the connection's.
+    let mut client = Client::connect(&server.addr);
+    client.send(request);
+    assert_eq!(client.recv().get("cached").unwrap().as_bool(), Some(false));
+
+    let start = std::time::Instant::now();
+    for _ in 0..5 {
+        let mut fresh = Client::connect(&server.addr);
+        fresh.send(request);
+        assert_eq!(fresh.recv().get("cached").unwrap().as_bool(), Some(true));
+    }
+    let elapsed = start.elapsed();
+    // Waiting out an accept poll would cost up to POLL per connection.
+    assert!(
+        elapsed < Duration::from_millis(125),
+        "5 fresh-connection requests took {elapsed:?}"
+    );
+    server.stop();
+    let _ = std::fs::remove_file(&cache_path);
+}
+
+#[test]
+fn an_idle_server_drains_within_one_poll() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..quiet_config()
+    })
+    .expect("bind loopback");
+    server.handle().shutdown();
+    let start = std::time::Instant::now();
+    server.run().expect("clean run");
+    let elapsed = start.elapsed();
+    // Idle workers must not each wait out a POLL before exiting.
+    assert!(elapsed < POLL, "idle drain took {elapsed:?}");
+}
+
 #[test]
 fn responses_interleave_across_a_shared_connection() {
     // One connection, many in-flight requests: every id gets exactly

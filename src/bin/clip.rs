@@ -174,10 +174,7 @@ fn parse_synth(args: &[String]) -> Result<SynthArgs, String> {
         match args[i].as_str() {
             "--cell" => {
                 let name = take(&mut i)?;
-                let circuit = library::evaluation_suite()
-                    .into_iter()
-                    .chain(library::extended_suite())
-                    .find(|c| c.name() == name)
+                let circuit = library::by_name(&name)
                     .ok_or_else(|| format!("unknown cell {name} (see `clip cells`)"))?;
                 out.circuit = Some(circuit);
             }
