@@ -97,7 +97,7 @@ fn run_smoke() {
     let path = dir.join("bench_smoke.jsonl");
     // Atomic replace: write a sibling temp file, then rename over the
     // target. A killed run leaves the previous JSONL intact instead of
-    // a truncated file that would poison `clip tune`.
+    // a truncated file that would poison the regression gate.
     let tmp = dir.join(format!("bench_smoke.jsonl.tmp.{}", std::process::id()));
     let write = std::fs::create_dir_all(dir)
         .and_then(|()| std::fs::write(&tmp, report.to_jsonl()))
@@ -175,42 +175,4 @@ fn run_smoke() {
             }
         }
     }
-    // Tuner loop self-check: the training records written above must
-    // learn into a non-empty profile, and synthesizing with the learned
-    // plan must reproduce the identical placement — tuning is allowed to
-    // change speed, never results.
-    let profile = match clip_tune::learn(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: training records in results/bench_smoke.jsonl do not learn: {e}");
-            std::process::exit(1);
-        }
-    };
-    if profile.is_empty() {
-        eprintln!("error: results/bench_smoke.jsonl holds no tuner training records");
-        std::process::exit(1);
-    }
-    let circuit = clip_netlist::library::xor2();
-    let features = clip_tune::CircuitFeatures::extract(&circuit).expect("xor2 pairs");
-    let plan = profile.plan_for(&features.key(false));
-    let tuned = clip_core::SynthRequest::new(circuit)
-        .rows(2)
-        .profile(plan)
-        .build()
-        .expect("tuned xor2 generates");
-    let baseline = clip_core::SynthRequest::new(clip_netlist::library::xor2())
-        .rows(2)
-        .build()
-        .expect("baseline xor2 generates");
-    if tuned.cell.placement != baseline.cell.placement
-        || tuned.cell.width != baseline.cell.width
-        || tuned.cell.height != baseline.cell.height
-    {
-        eprintln!("error: tuned xor2 synthesis diverged from the baseline placement");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "tuner self-check: learned {} bucket(s); tuned xor2 matches the baseline cell",
-        profile.len()
-    );
 }

@@ -37,14 +37,13 @@
 //! * **Trace schema** — the pipeline trace must round-trip through
 //!   [`clip_layout::trace`].
 //!
-//! ## Tuner feed
+//! ## Per-key records
 //!
-//! Successful records carry the same fields as the `tune/*` training
-//! records `smoke` emits (`feature_key`, `wall_ns`, `jobs`, `seed`,
-//! `seed_ns`, `winner_strategy`), so a checkpoint file is directly
-//! consumable by `clip tune`. Error records deliberately omit
-//! `feature_key` — the learner treats any line carrying that field as a
-//! training record and would reject one without `wall_ns`.
+//! Every successful record carries the cell's `feature_key` (see
+//! `clip_tune::FeatureKey`) beside its timings (`wall_ns`, `seed_ns`,
+//! `solve_ns`), the run shape (`jobs`, `seed`) and the winning strategy,
+//! so a checkpoint can be reported per key without re-solving anything.
+//! Error records omit `feature_key`: they have no timings to report.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -314,9 +313,8 @@ fn solve_cell(cell: &CorpusCell, budget: Duration, _slot: usize) -> Outcome {
     let result = match request.build() {
         Ok(r) => r,
         Err(e) => {
-            // No `feature_key` here: the tune learner rejects training
-            // records without `wall_ns`, so error lines must not look
-            // like training records.
+            // No `feature_key` here: an error line has no timings, so it
+            // stays out of per-key reports.
             let record = Json::obj([
                 ("record", Json::Str("corpus".into())),
                 ("hash", Json::Str(cell.hash.clone())),
@@ -433,7 +431,7 @@ fn solve_cell(cell: &CorpusCell, budget: Duration, _slot: usize) -> Outcome {
         }
     }
 
-    // The checkpoint record doubles as a tune/* training record.
+    // The checkpoint record, keyed by feature key for per-key reports.
     let stage_ns = |stage: Stage| {
         gen.trace
             .stages
@@ -555,10 +553,13 @@ mod tests {
         assert!(summary.violations.is_empty(), "{:?}", summary.violations);
         let hashes = completed_hashes(&opts.checkpoint).expect("readable");
         assert_eq!(hashes.len(), 6, "one record per cell");
-        // Each successful line is a valid tune training record.
+        // Each successful line carries its feature key.
         let text = std::fs::read_to_string(&opts.checkpoint).expect("readable");
-        let profile = clip_tune::learn(&text).expect("checkpoint feeds clip tune");
-        assert!(!profile.is_empty());
+        for v in text.lines().filter_map(|l| jsonio::parse(l).ok()) {
+            if v.get("status").and_then(Json::as_str) == Some("ok") {
+                assert!(v.get("feature_key").is_some(), "{}", v.to_pretty());
+            }
+        }
         let _ = std::fs::remove_file(&opts.checkpoint);
     }
 

@@ -15,11 +15,12 @@ use clip_baselines as baselines;
 use clip_core::cliph::{ClipWH, ClipWHOptions};
 use clip_core::clipw::{ClipW, ClipWOptions};
 use clip_core::cluster;
-use clip_core::generator::{greedy_placement, CellGenerator, GenOptions};
+use clip_core::generator::greedy_placement;
 use clip_core::orient::Orient;
+use clip_core::request::SynthRequest;
 use clip_core::share::ShareArray;
 use clip_core::unit::UnitSet;
-use clip_core::Placement;
+use clip_core::{ObjectiveSpec, Placement};
 use clip_layout::CellLayout;
 use clip_netlist::stats::CircuitStats;
 use clip_netlist::{library, NetTable};
@@ -140,20 +141,18 @@ pub fn table3_data(limit: Duration) -> Vec<T3Entry> {
         let circuit = (bc.build)();
         let transistors = circuit.devices().len();
         for (k, &rows) in bc.row_counts.iter().enumerate() {
-            let flat = CellGenerator::new(GenOptions::rows(rows).with_time_limit(limit))
-                .generate(circuit.clone());
-            let stacked = CellGenerator::new(
-                GenOptions::rows(rows)
-                    .with_stacking()
-                    .with_time_limit(limit),
-            )
-            .generate(circuit.clone());
+            let request = SynthRequest::new(circuit.clone())
+                .rows(rows)
+                .time_limit(limit);
+            let flat = request.clone().build();
+            let stacked = request.stacking().build();
             let units = UnitSet::flat(circuit.clone().into_paired().expect("pairs"));
             let share = ShareArray::new(&units);
             let greedy = baselines::greedy2d(&units, &share, rows);
             let (Ok(flat), Ok(stacked), Some(greedy)) = (flat, stacked, greedy) else {
                 continue;
             };
+            let (flat, stacked) = (flat.cell, stacked.cell);
             entries.push(T3Entry {
                 circuit: bc.name,
                 transistors,
@@ -251,12 +250,13 @@ pub fn table4_data(limit: Duration) -> Vec<T4Entry> {
             continue; // WH column model on the big cells exceeds the harness budget
         }
         for &rows in bc.row_counts.iter().take(2) {
-            let cell = match CellGenerator::new(
-                GenOptions::rows(rows).with_height().with_time_limit(limit),
-            )
-            .generate(circuit.clone())
+            let cell = match SynthRequest::new(circuit.clone())
+                .rows(rows)
+                .objective(ObjectiveSpec::width_height())
+                .time_limit(limit)
+                .build()
             {
-                Ok(c) => c,
+                Ok(r) => r.cell,
                 Err(_) => continue,
             };
             let units = UnitSet::flat(circuit.clone().into_paired().expect("pairs"));
@@ -330,9 +330,12 @@ pub fn fig1(limit: Duration) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Fig. 1 — 1-D vs 2-D layout style (mux21)\n");
     for rows in [1, 3] {
-        let cell = CellGenerator::new(GenOptions::rows(rows).with_time_limit(limit))
-            .generate(library::mux21())
-            .expect("mux generates");
+        let cell = SynthRequest::new(library::mux21())
+            .rows(rows)
+            .time_limit(limit)
+            .build()
+            .expect("mux generates")
+            .cell;
         let _ = writeln!(
             out,
             "--- {} style: width {} ---\n{}",
@@ -370,9 +373,12 @@ pub fn fig2() -> String {
 
 /// Fig. 3: the optimal 3-row multiplexer placement.
 pub fn fig3(limit: Duration) -> String {
-    let cell = CellGenerator::new(GenOptions::rows(3).with_time_limit(limit))
-        .generate(library::mux21())
-        .expect("mux generates");
+    let cell = SynthRequest::new(library::mux21())
+        .rows(3)
+        .time_limit(limit)
+        .build()
+        .expect("mux generates")
+        .cell;
     format!(
         "Fig. 3 — optimal 3-row mux placement (width {})\n\n{}",
         cell.width,
@@ -511,11 +517,13 @@ pub fn sweep(limit: Duration) -> String {
         let pairs = circuit.clone().into_paired().expect("pairs").len();
         for rows in 1..=4.min(pairs) {
             let use_stacking = pairs > 8;
-            let mut opts = GenOptions::rows(rows).with_time_limit(limit);
+            let mut request = SynthRequest::new(circuit.clone())
+                .rows(rows)
+                .time_limit(limit);
             if use_stacking {
-                opts = opts.with_stacking();
+                request = request.stacking();
             }
-            match CellGenerator::new(opts).generate(circuit.clone()) {
+            match request.build().map(|r| r.cell) {
                 Ok(cell) => {
                     let tracks: usize = cell.tracks.iter().sum();
                     let _ = writeln!(
@@ -661,7 +669,6 @@ pub fn ablation(limit: Duration) -> String {
 /// Hierarchical generation (the paper's \[9\] extension): flat vs HCLIP vs
 /// hierarchical on the larger cells.
 pub fn hier(limit: Duration) -> String {
-    use clip_core::hier::{generate as hier_generate, HierOptions};
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -680,19 +687,13 @@ pub fn hier(limit: Duration) -> String {
     ];
     for (name, build) in cases {
         let pairs = build().into_paired().expect("pairs").len();
+        let request = || SynthRequest::new(build()).rows(2).time_limit(limit);
         let flat = (pairs <= 14)
-            .then(|| {
-                CellGenerator::new(GenOptions::rows(2).with_time_limit(limit))
-                    .generate(build())
-                    .ok()
-            })
-            .flatten();
-        let hclip = CellGenerator::new(GenOptions::rows(2).with_stacking().with_time_limit(limit))
-            .generate(build())
-            .ok();
-        let mut hopts = HierOptions::rows(2);
-        hopts.time_limit = Some(limit);
-        let hier = hier_generate(build(), &hopts).ok();
+            .then(|| request().build().ok())
+            .flatten()
+            .map(|r| r.cell);
+        let hclip = request().stacking().build().ok().map(|r| r.cell);
+        let hier = request().hierarchical().build().ok().and_then(|r| r.hier);
         let fmt_w = |w: Option<usize>| w.map_or("-".into(), |w| w.to_string());
         let fmt_t = |t: Option<f64>| t.map_or("-".into(), |t| format!("{t:.3}"));
         let _ = writeln!(
@@ -738,10 +739,11 @@ pub fn folding(limit: Duration) -> String {
             let folded = fold_uniform(&paired, k).expect("folds");
             let pairs = folded.len();
             let circuit = folded.circuit().clone();
-            let cell =
-                CellGenerator::new(GenOptions::rows(1).with_stacking().with_time_limit(limit))
-                    .generate(circuit);
-            match cell {
+            let cell = SynthRequest::new(circuit)
+                .stacking()
+                .time_limit(limit)
+                .build();
+            match cell.map(|r| r.cell) {
                 Ok(c) => {
                     let _ = writeln!(
                         out,
@@ -786,8 +788,11 @@ pub fn scaling(limit: Duration) -> String {
             let circuit = random_gate(seed.wrapping_mul(7919) + target as u64, target);
             let pairs = circuit.clone().into_paired().map(|p| p.len()).unwrap_or(0);
             let rows = 2usize.min(pairs.max(1));
-            let Ok(cell) = CellGenerator::new(GenOptions::rows(rows).with_time_limit(limit))
-                .generate(circuit.clone())
+            let Ok(cell) = SynthRequest::new(circuit.clone())
+                .rows(rows)
+                .time_limit(limit)
+                .build()
+                .map(|r| r.cell)
             else {
                 continue;
             };

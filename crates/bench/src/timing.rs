@@ -185,9 +185,11 @@ pub fn smoke() -> Report {
     use clip_core::cliph::{ClipWH, ClipWHOptions};
     use clip_core::clipw::{ClipW, ClipWOptions};
     use clip_core::cluster;
-    use clip_core::generator::{CellGenerator, GenOptions};
+    use clip_core::generator::GenOptions;
+    use clip_core::request::SynthRequest;
     use clip_core::share::ShareArray;
     use clip_core::unit::UnitSet;
+    use clip_core::ObjectiveSpec;
     use clip_netlist::library;
     use clip_pb::{BranchHeuristic, SearchStrategy, Solver, SolverConfig};
     use clip_route::density::CellRouting;
@@ -236,18 +238,24 @@ pub fn smoke() -> Report {
         ("clipw_solve/xor2x2", library::xor2, 2),
     ] {
         report.run(name, opts, || {
-            CellGenerator::new(GenOptions::rows(rows).with_time_limit(limit))
-                .generate(build())
+            SynthRequest::new(build())
+                .rows(rows)
+                .time_limit(limit)
+                .build()
                 .expect("generates")
+                .cell
                 .width
         });
     }
 
     // bench_cliph: width+height solve.
     report.run("cliph_solve/nand2x1", opts, || {
-        CellGenerator::new(GenOptions::rows(1).with_height().with_time_limit(limit))
-            .generate(library::nand2())
+        SynthRequest::new(library::nand2())
+            .objective(ObjectiveSpec::width_height())
+            .time_limit(limit)
+            .build()
             .expect("generates")
+            .cell
             .width
     });
     {
@@ -373,9 +381,11 @@ pub fn smoke() -> Report {
                 .with_jobs(NonZeroUsize::new(jobs).expect("non-zero"));
             let area = std::cell::Cell::new(0usize);
             report.run(&format!("jobs_sweep/nand4x4_jobs{jobs}"), opts, || {
-                let cell = CellGenerator::new(gen_opts.clone())
-                    .generate_best_area(library::nand4(), 4)
-                    .expect("generates");
+                let cell = SynthRequest::with_options(library::nand4(), gen_opts.clone())
+                    .best_area(4)
+                    .build()
+                    .expect("generates")
+                    .cell;
                 area.set(cell.width * cell.height);
                 area.get()
             });
@@ -394,82 +404,6 @@ pub fn smoke() -> Report {
         }
     }
 
-    // Tuner training: one probe per (cell, rows, jobs) point, each a
-    // full generate tagged with the circuit's feature key so `clip tune`
-    // can learn a profile from the smoke JSONL. The seed/solve split
-    // comes from the pipeline trace; the area rides along so downstream
-    // checks can confirm tuned re-runs reproduce the identical cell.
-    {
-        use clip_core::pipeline::Stage;
-        use clip_tune::CircuitFeatures;
-        use std::num::NonZeroUsize;
-
-        let mut probe = |name: &str,
-                         build: fn() -> clip_netlist::Circuit,
-                         rows: usize,
-                         jobs: usize,
-                         limit: Duration| {
-            let circuit = build();
-            let features = CircuitFeatures::extract(&circuit).expect("pairs");
-            let key = features.key(false).to_string();
-            let gen_opts = GenOptions::rows(rows)
-                .with_time_limit(limit)
-                .with_jobs(NonZeroUsize::new(jobs).expect("non-zero"));
-            let start = Instant::now();
-            let cell = CellGenerator::new(gen_opts)
-                .generate(circuit)
-                .expect("generates");
-            let wall = start.elapsed();
-            let stage_ns = |stage: Stage| {
-                cell.trace
-                    .stages
-                    .iter()
-                    .find(|s| s.stage == stage)
-                    .map_or(0, |s| s.wall.as_nanos() as i64)
-            };
-            let solve = cell.trace.stages.iter().find(|s| s.stage == Stage::Solve);
-            let seed = cell
-                .trace
-                .stages
-                .iter()
-                .any(|s| s.stage == Stage::HclipSeed);
-            let mut line = vec![
-                ("record".to_owned(), Json::Str(format!("tune/{name}"))),
-                ("feature_key".to_owned(), Json::Str(key.clone())),
-                ("pairs".to_owned(), Json::Int(features.pairs as i64)),
-                ("nets".to_owned(), Json::Int(features.nets as i64)),
-                ("max_chain".to_owned(), Json::Int(features.max_chain as i64)),
-                ("rows".to_owned(), Json::Int(rows as i64)),
-                ("jobs".to_owned(), Json::Int(jobs as i64)),
-                ("seed".to_owned(), Json::Bool(seed)),
-                ("seed_ns".to_owned(), Json::Int(stage_ns(Stage::HclipSeed))),
-                ("wall_ns".to_owned(), Json::Int(wall.as_nanos() as i64)),
-                ("solve_ns".to_owned(), Json::Int(stage_ns(Stage::Solve))),
-            ];
-            if let Some(winner) = solve.and_then(|s| s.winner_strategy.clone()) {
-                line.push(("winner_strategy".to_owned(), Json::Str(winner)));
-            }
-            line.push((
-                "area".to_owned(),
-                Json::Int((cell.width * cell.height) as i64),
-            ));
-            report.extras.push(Json::Obj(line));
-            eprintln!("  tune/{name:<34} key {key}, wall {wall:?}");
-        };
-        probe("xor2x2", library::xor2, 2, 2, limit);
-        probe("mux21x3", library::mux21, 3, 1, limit);
-        probe("nand4x1", library::nand4, 1, 2, limit);
-        // full_adder is flat with 14 pairs, so the HCLIP warm-start seed
-        // fires; a short limit keeps the anytime solve smoke-sized.
-        probe(
-            "full_adderx2",
-            library::full_adder,
-            2,
-            2,
-            Duration::from_secs(2),
-        );
-    }
-
     // Pipeline observability: one budgeted, instrumented generate whose
     // per-stage records become their own JSONL lines (same schema as
     // `clip synth --trace`), so downstream tooling can chart where the
@@ -478,9 +412,13 @@ pub fn smoke() -> Report {
     // strategy) the CI smoke check greps for.
     {
         let jobs = std::num::NonZeroUsize::new(2).expect("non-zero");
-        let cell = CellGenerator::new(GenOptions::rows(2).with_time_limit(limit).with_jobs(jobs))
-            .generate(library::xor2())
-            .expect("generates");
+        let cell = SynthRequest::new(library::xor2())
+            .rows(2)
+            .time_limit(limit)
+            .jobs(jobs)
+            .build()
+            .expect("generates")
+            .cell;
         for rec in &cell.trace.stages {
             let mut line = vec![("name".to_owned(), Json::Str("trace/xor2x2".into()))];
             if let Json::Obj(pairs) = clip_layout::trace::stage_to_value(rec) {
@@ -514,13 +452,13 @@ pub fn smoke() -> Report {
             Duration::from_secs(1),
         ),
     ] {
-        let cell = CellGenerator::new(
-            GenOptions::rows(rows)
-                .with_time_limit(limit)
-                .with_jobs(std::num::NonZeroUsize::MIN),
-        )
-        .generate(build())
-        .expect("generates");
+        let cell = SynthRequest::new(build())
+            .rows(rows)
+            .time_limit(limit)
+            .jobs(std::num::NonZeroUsize::MIN)
+            .build()
+            .expect("generates")
+            .cell;
         for rec in &cell.trace.stages {
             let mut line = vec![("name".to_owned(), Json::Str(name.into()))];
             if let Json::Obj(pairs) = clip_layout::trace::stage_to_value(rec) {

@@ -1,12 +1,16 @@
-//! The top-level cell generation API.
+//! Cell generation: the staged per-cell flow behind
+//! [`SynthRequest`](crate::request::SynthRequest).
 //!
-//! [`CellGenerator`] drives the staged pipeline (see [`crate::pipeline`]):
-//! pair the circuit, optionally cluster and-stacks (HCLIP), build the
-//! CLIP-W or CLIP-WH model, seed the solver with a greedy warm start,
-//! solve with the structure-aware brancher, verify the result
-//! combinatorially, and report the realized geometry. Every stage runs
-//! under one shared [`Budget`] and leaves a [`StageRecord`] in the
-//! [`PipelineTrace`] carried on the finished [`GeneratedCell`].
+//! A request enters here through the crate-private `CellGenerator`, which
+//! drives the staged pipeline (see [`crate::pipeline`]): pair the circuit,
+//! optionally cluster and-stacks (HCLIP), build the CLIP-W or CLIP-WH
+//! model, seed the solver with a greedy warm start, solve with the
+//! structure-aware brancher, verify the result combinatorially, and
+//! report the realized geometry. Every stage runs under one shared
+//! [`Budget`] and leaves a [`StageRecord`] in the [`PipelineTrace`]
+//! carried on the finished [`GeneratedCell`]. The best-area row sweep
+//! lives here too, as do the public [`GenOptions`] a request carries and
+//! the greedy warm start ([`greedy_placement`], [`evaluate_order`]).
 
 use std::error::Error;
 use std::fmt;
@@ -30,7 +34,6 @@ use crate::orient::Orient;
 use crate::pipeline::{Budget, Pipeline, PipelineTrace, Stage, StageRecord};
 use crate::share::{bit, ShareArray};
 use crate::solution::Placement;
-use crate::tuning::TuningPlan;
 use crate::unit::UnitSet;
 use crate::verify;
 
@@ -57,31 +60,28 @@ pub struct GenOptions {
     /// Enable HCLIP and-stack clustering.
     pub stacking: bool,
     /// Total wall-clock budget for the request, shared by every pipeline
-    /// stage — and, in [`CellGenerator::generate_best_area`], across *all*
-    /// row counts. On expiry the best incumbent is returned with
-    /// `optimal = false`.
+    /// stage — and, in a best-area sweep
+    /// ([`SynthRequest::best_area`](crate::request::SynthRequest::best_area)),
+    /// across *all* row counts. On expiry the best incumbent is returned
+    /// with `optimal = false`.
     pub time_limit: Option<Duration>,
-    /// Worker threads for parallel search. [`CellGenerator::generate`]
-    /// races a CBJ/CDCL portfolio of this width over the model;
-    /// [`CellGenerator::generate_best_area`] fans its row counts out over
-    /// this many threads instead (each row solve then runs one strategy,
-    /// keeping the sweep result independent of thread scheduling).
-    /// Defaults to [`std::thread::available_parallelism`].
+    /// Worker threads for parallel search. A fixed-row solve races a
+    /// CBJ/CDCL portfolio of this width over the model; a best-area sweep
+    /// fans its row counts out over this many threads instead (each row
+    /// solve then runs one strategy, keeping the sweep result independent
+    /// of thread scheduling); a hierarchical request fans its sub-cell
+    /// solves out. Defaults to [`std::thread::available_parallelism`].
     ///
     /// A best-area sweep over a *small* model skips the fan-out entirely
     /// (thread setup costs more than sub-millisecond row solves return)
     /// unless [`GenOptions::jobs_explicit`] is set.
     pub jobs: NonZeroUsize,
     /// True when the job count was chosen explicitly (CLI `--jobs`,
+    /// [`SynthRequest::jobs`](crate::request::SynthRequest::jobs),
     /// [`GenOptions::with_explicit_jobs`]) rather than defaulted: an
     /// explicit count is honored verbatim, bypassing the small-sweep
     /// fan-out gate. Results are identical either way.
     pub jobs_explicit: bool,
-    /// Stage-boundary tuning decisions, usually distilled from a learned
-    /// profile by `clip-tune`. The default plan reproduces today's
-    /// hardcoded behavior exactly; see [`crate::tuning`] for the
-    /// speed-not-results constraints on each lever.
-    pub tuning: TuningPlan,
 }
 
 /// The default worker count: one per available core.
@@ -99,13 +99,12 @@ impl GenOptions {
             time_limit: None,
             jobs: default_jobs(),
             jobs_explicit: false,
-            tuning: TuningPlan::default(),
         }
     }
 
-    /// Installs a fully-built [`ObjectiveSpec`] — the consolidated way to
-    /// shape the objective; the `with_height`/`with_critical_nets` shims
-    /// below mutate the same spec field-by-field.
+    /// Installs a fully-built [`ObjectiveSpec`]: objective kind and
+    /// ordering, height-model geometry, inter-row weight, and critical
+    /// nets in one typed value.
     pub fn with_objective(mut self, spec: ObjectiveSpec) -> Self {
         self.objective = spec;
         self
@@ -135,36 +134,9 @@ impl GenOptions {
         self
     }
 
-    /// Switches to the width+height objective.
-    ///
-    /// Deprecated shim over [`GenOptions::with_objective`] (it mutates
-    /// [`ObjectiveSpec::kind`]); kept byte-identical for existing
-    /// callers.
-    pub fn with_height(mut self) -> Self {
-        self.objective.kind = Objective::WidthThenHeight;
-        self
-    }
-
     /// Sets a solve time limit.
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.time_limit = Some(limit);
-        self
-    }
-
-    /// Marks nets (by name) as timing-critical for the width+height
-    /// objective.
-    ///
-    /// Deprecated shim over [`GenOptions::with_objective`] (it mutates
-    /// [`ObjectiveSpec::critical_nets`]); kept byte-identical for
-    /// existing callers.
-    pub fn with_critical_nets(mut self, nets: Vec<String>) -> Self {
-        self.objective.critical_nets = nets;
-        self
-    }
-
-    /// Installs a tuning plan (see [`crate::tuning::TuningPlan`]).
-    pub fn with_tuning(mut self, plan: TuningPlan) -> Self {
-        self.tuning = plan;
         self
     }
 }
@@ -200,7 +172,7 @@ pub struct GeneratedCell {
     pub trace: PipelineTrace,
 }
 
-/// Errors from [`CellGenerator::generate`].
+/// Errors from [`SynthRequest::build`](crate::request::SynthRequest::build).
 #[derive(Debug)]
 pub enum GenError {
     /// The circuit could not be paired.
@@ -235,90 +207,17 @@ impl From<PairCircuitError> for GenError {
     }
 }
 
-/// The CLIP cell generator.
-///
-/// # Example
-///
-/// ```
-/// use clip_core::generator::{CellGenerator, GenOptions};
-/// use clip_netlist::library;
-///
-/// let cell = CellGenerator::new(GenOptions::rows(3))
-///     .generate(library::mux21())?;
-/// assert_eq!(cell.width, 3); // paper Table 3: the mux in 3 rows
-/// # Ok::<(), clip_core::generator::GenError>(())
-/// ```
+/// The CLIP cell generator: one request's options, run through the
+/// staged pipeline by [`SynthRequest::build`](crate::request::SynthRequest::build).
 #[derive(Clone, Debug)]
-pub struct CellGenerator {
+pub(crate) struct CellGenerator {
     options: GenOptions,
 }
 
 impl CellGenerator {
     /// Creates a generator.
-    pub fn new(options: GenOptions) -> Self {
+    pub(crate) fn new(options: GenOptions) -> Self {
         CellGenerator { options }
-    }
-
-    /// Generates a layout for `circuit` under a budget derived from
-    /// [`GenOptions::time_limit`].
-    ///
-    /// Thin shim over [`crate::request::SynthRequest`], kept so existing
-    /// callers compile unchanged; prefer the request builder for new
-    /// code (it also returns the applied tuning decisions).
-    ///
-    /// # Errors
-    ///
-    /// See [`GenError`].
-    pub fn generate(&self, circuit: Circuit) -> Result<GeneratedCell, GenError> {
-        crate::request::SynthRequest::with_options(circuit, self.options.clone())
-            .build()
-            .map(crate::request::SynthResult::into_cell)
-    }
-
-    /// Generates a layout for `circuit`, drawing on an externally supplied
-    /// [`Budget`] (shared deadlines across several requests, node pools).
-    ///
-    /// Thin shim over [`crate::request::SynthRequest::budget`]; prefer
-    /// the request builder for new code.
-    ///
-    /// # Errors
-    ///
-    /// See [`GenError`].
-    pub fn generate_with_budget(
-        &self,
-        circuit: Circuit,
-        budget: &Budget,
-    ) -> Result<GeneratedCell, GenError> {
-        crate::request::SynthRequest::with_options(circuit, self.options.clone())
-            .budget(budget.clone())
-            .build()
-            .map(crate::request::SynthResult::into_cell)
-    }
-
-    /// Generates a layout for an already-built unit set.
-    ///
-    /// # Errors
-    ///
-    /// See [`GenError`].
-    pub fn generate_units(&self, units: UnitSet) -> Result<GeneratedCell, GenError> {
-        self.generate_units_with_budget(units, &Budget::from_limit(self.options.time_limit))
-    }
-
-    /// [`CellGenerator::generate_units`] with an external [`Budget`].
-    ///
-    /// # Errors
-    ///
-    /// See [`GenError`].
-    pub fn generate_units_with_budget(
-        &self,
-        units: UnitSet,
-        budget: &Budget,
-    ) -> Result<GeneratedCell, GenError> {
-        let mut pipeline = Pipeline::new(budget.clone());
-        pipeline.set_rows(Some(self.options.rows));
-        let mut cell = self.generate_units_staged(units, &mut pipeline, None, None)?;
-        cell.trace = pipeline.into_trace();
-        Ok(cell)
     }
 
     /// Pair + cluster stages, then the unit-set pipeline.
@@ -416,19 +315,13 @@ impl CellGenerator {
             // stronger incumbent than the greedy heuristics: solve the
             // clustered model briefly (on a slice of the shared budget)
             // and expand its placement. Skipped once the budget is gone.
-            // A tuning plan may *veto* the stage (seed off, or a zero
-            // slice), but can never force it onto circuits the structural
-            // gate would skip.
-            let seed_wanted = self.options.tuning.hclip_seed != Some(false)
-                && self.options.tuning.seed_slice != Some(0);
-            let hclip_seed =
-                (units.is_flat() && units.len() > 8 && seed_wanted && !pipeline.budget().expired())
-                    .then(|| {
-                        pipeline.stage(Stage::HclipSeed, |budget, rec| {
-                            self.hclip_seed(&units, budget, rec)
-                        })
+            let hclip_seed = (units.is_flat() && units.len() > 8 && !pipeline.budget().expired())
+                .then(|| {
+                    pipeline.stage(Stage::HclipSeed, |budget, rec| {
+                        self.hclip_seed(&units, budget, rec)
                     })
-                    .flatten();
+                })
+                .flatten();
             let clipw = pipeline.stage(Stage::ModelBuild, |_, rec| {
                 let m = ClipW::build(&units, &share, &wopts).map_err(GenError::Model)?;
                 rec.model_vars = Some(m.model().num_vars());
@@ -469,9 +362,10 @@ impl CellGenerator {
     /// the one with the smallest area (width × height), with ties broken
     /// toward fewer rows. Row counts exceeding the unit count are skipped.
     ///
-    /// The whole sweep shares **one** budget derived from
-    /// [`GenOptions::time_limit`] — a 4-row sweep with a 30 s limit takes
-    /// ~30 s total, not 30 s per row count. With [`GenOptions::jobs`]
+    /// The whole sweep shares **one** budget, the request's (derived from
+    /// [`GenOptions::time_limit`] unless the caller supplied one) — a
+    /// 4-row sweep with a 30 s limit takes ~30 s total, not 30 s per row
+    /// count. With [`GenOptions::jobs`]
     /// `> 1` the row counts fan out across that many scoped threads; a
     /// finished row publishes its area, and any sibling whose area *lower
     /// bound* (packing bound × row overheads) strictly exceeds the best
@@ -493,30 +387,10 @@ impl CellGenerator {
     /// This automates the paper's central trade-off study: the 2-D style's
     /// area optimum typically sits at an intermediate row count.
     ///
-    /// Thin shim over [`crate::request::SynthRequest::best_area`]; prefer
-    /// the request builder for new code.
-    ///
     /// # Errors
     ///
     /// Returns the first informative error if no row count produces a cell.
-    pub fn generate_best_area(
-        &self,
-        circuit: Circuit,
-        max_rows: usize,
-    ) -> Result<GeneratedCell, GenError> {
-        crate::request::SynthRequest::with_options(circuit, self.options.clone())
-            .best_area(max_rows)
-            .build()
-            .map(crate::request::SynthResult::into_cell)
-    }
-
-    /// [`CellGenerator::generate_best_area`] with an external [`Budget`]
-    /// shared across the whole sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first informative error if no row count produces a cell.
-    pub fn generate_best_area_with_budget(
+    pub(crate) fn generate_best_area_with_budget(
         &self,
         circuit: Circuit,
         max_rows: usize,
@@ -657,10 +531,8 @@ impl CellGenerator {
     /// can stop a row that can no longer win; otherwise the portfolio
     /// coordinates through a fresh mailbox of its own.
     ///
-    /// The portfolio composition comes from the tuning plan when one is
-    /// set, sanitized by [`clip_pb::portfolio::named_configs`] so the
-    /// reference strategy always runs first — a one-thread solve is
-    /// therefore identical with or without a plan.
+    /// The portfolio races [`clip_pb::portfolio::STRATEGIES`] in order,
+    /// capped at the job count, so a one-thread solve runs `cbj` alone.
     fn solve_stage(
         &self,
         model: &clip_pb::Model,
@@ -669,11 +541,7 @@ impl CellGenerator {
         cancel: Option<&SharedIncumbent>,
         rec: &mut StageRecord,
     ) -> clip_pb::Outcome {
-        let configs = clip_pb::portfolio::named_configs(
-            &base,
-            self.options.tuning.portfolio.as_deref(),
-            self.options.jobs.get(),
-        );
+        let configs = clip_pb::portfolio::named_configs(&base, self.options.jobs.get());
         let incumbent = cancel.cloned().unwrap_or_default();
         let p = solve_portfolio_with(model, configs, budget, incumbent);
         rec.model_vars = Some(model.num_vars());
@@ -685,9 +553,6 @@ impl CellGenerator {
         rec.shared_prunes = Some(p.outcome.stats().shared_prunes);
         if p.threads > 1 {
             rec.thread_solves = p.runs.into_iter().map(|(_, s)| s).collect();
-        }
-        if !self.options.tuning.is_default() {
-            rec.tuning = Some(self.options.tuning.to_string());
         }
         p.outcome
     }
@@ -719,10 +584,7 @@ impl CellGenerator {
             SolverConfig {
                 brancher: Some(model.brancher()),
                 warm_start: warm,
-                budget: budget.slice(
-                    self.options.tuning.seed_slice.unwrap_or(4),
-                    Duration::from_secs(5),
-                ),
+                budget: budget.slice(4, Duration::from_secs(5)),
                 ..Default::default()
             },
         )
@@ -1165,13 +1027,17 @@ pub fn evaluate_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::SynthRequest;
     use clip_netlist::library;
+
+    /// Builds `request` and returns its cell.
+    fn cell_of(request: SynthRequest) -> GeneratedCell {
+        request.build().unwrap().cell
+    }
 
     #[test]
     fn generates_nand2() {
-        let cell = CellGenerator::new(GenOptions::rows(1))
-            .generate(library::nand2())
-            .unwrap();
+        let cell = cell_of(SynthRequest::new(library::nand2()));
         assert_eq!(cell.width, 2);
         assert!(cell.optimal);
         assert!(!cell.height_optimized);
@@ -1180,9 +1046,7 @@ mod tests {
 
     #[test]
     fn generates_mux21_three_rows() {
-        let cell = CellGenerator::new(GenOptions::rows(3))
-            .generate(library::mux21())
-            .unwrap();
+        let cell = cell_of(SynthRequest::new(library::mux21()).rows(3));
         assert_eq!(cell.width, 3);
         assert_eq!(cell.placement.rows.len(), 3);
         assert_eq!(cell.tracks.len(), 5); // 3 intra + 2 inter channels
@@ -1191,12 +1055,8 @@ mod tests {
 
     #[test]
     fn stacking_reduces_model_size() {
-        let flat = CellGenerator::new(GenOptions::rows(1))
-            .generate(library::nand4())
-            .unwrap();
-        let stacked = CellGenerator::new(GenOptions::rows(1).with_stacking())
-            .generate(library::nand4())
-            .unwrap();
+        let flat = cell_of(SynthRequest::new(library::nand4()));
+        let stacked = cell_of(SynthRequest::new(library::nand4()).stacking());
         assert!(stacked.model_vars < flat.model_vars);
         // NAND4 fully merges either way.
         assert_eq!(flat.width, 4);
@@ -1205,18 +1065,19 @@ mod tests {
 
     #[test]
     fn height_objective_reports_optimized_height() {
-        let cell = CellGenerator::new(GenOptions::rows(1).with_height())
-            .generate(library::nand2())
-            .unwrap();
+        let cell =
+            cell_of(SynthRequest::new(library::nand2()).objective(ObjectiveSpec::width_height()));
         assert!(cell.height_optimized);
         assert!(cell.optimal);
     }
 
     #[test]
     fn stacked_height_falls_back_to_geometry() {
-        let cell = CellGenerator::new(GenOptions::rows(1).with_height().with_stacking())
-            .generate(library::nand4())
-            .unwrap();
+        let cell = cell_of(
+            SynthRequest::new(library::nand4())
+                .objective(ObjectiveSpec::width_height())
+                .stacking(),
+        );
         assert!(!cell.height_optimized);
         assert_eq!(cell.width, 4);
     }
@@ -1243,13 +1104,19 @@ mod tests {
 
     #[test]
     fn best_area_picks_an_intermediate_row_count() {
-        let gen = CellGenerator::new(GenOptions::rows(1).with_time_limit(Duration::from_secs(30)));
-        let best = gen.generate_best_area(library::xor2(), 4).unwrap();
+        let sweep = |circuit: Circuit| {
+            cell_of(
+                SynthRequest::new(circuit)
+                    .time_limit(Duration::from_secs(30))
+                    .best_area(4),
+            )
+        };
+        let best = sweep(library::xor2());
         // The verified xor2 sweep: areas 48/33/26/36 for rows 1..=4.
         assert_eq!(best.placement.rows.len(), 3);
         assert_eq!(best.width, 2);
         // Row counts beyond the pair count are skipped, not errors.
-        let tiny = gen.generate_best_area(library::inverter(), 4).unwrap();
+        let tiny = sweep(library::inverter());
         assert_eq!(tiny.placement.rows.len(), 1);
     }
 
@@ -1257,8 +1124,11 @@ mod tests {
     fn best_area_breaks_ties_toward_fewer_rows() {
         // nand4 areas tie at 20 for rows 1 (4x5) and 2 (2x10): the sweep
         // must keep the earlier (fewer-rows) winner.
-        let gen = CellGenerator::new(GenOptions::rows(1).with_time_limit(Duration::from_secs(30)));
-        let best = gen.generate_best_area(library::nand4(), 2).unwrap();
+        let best = cell_of(
+            SynthRequest::new(library::nand4())
+                .time_limit(Duration::from_secs(30))
+                .best_area(2),
+        );
         assert_eq!(best.placement.rows.len(), 1);
         assert_eq!(best.width, 4);
         assert_eq!(best.width * best.height, 20);
@@ -1269,23 +1139,22 @@ mod tests {
         // The tentpole determinism guarantee: the parallel sweep returns
         // byte-identical placements and areas no matter how many worker
         // threads carve up the row counts.
-        let with_jobs = |jobs: usize| {
-            GenOptions::rows(1)
-                .with_time_limit(Duration::from_secs(30))
-                .with_explicit_jobs(NonZeroUsize::new(jobs).unwrap())
+        let sweep = |circuit: Circuit, jobs: usize| {
+            cell_of(
+                SynthRequest::new(circuit)
+                    .time_limit(Duration::from_secs(30))
+                    .jobs(NonZeroUsize::new(jobs).unwrap())
+                    .best_area(4),
+            )
         };
         for circuit in [
             library::xor2 as fn() -> Circuit,
             library::mux21,
             library::nand4,
         ] {
-            let baseline = CellGenerator::new(with_jobs(1))
-                .generate_best_area(circuit(), 4)
-                .unwrap();
+            let baseline = sweep(circuit(), 1);
             for jobs in [2usize, 8] {
-                let cell = CellGenerator::new(with_jobs(jobs))
-                    .generate_best_area(circuit(), 4)
-                    .unwrap();
+                let cell = sweep(circuit(), jobs);
                 assert_eq!(cell.placement, baseline.placement, "jobs={jobs}");
                 assert_eq!(cell.width, baseline.width, "jobs={jobs}");
                 assert_eq!(cell.height, baseline.height, "jobs={jobs}");
@@ -1295,12 +1164,12 @@ mod tests {
 
     #[test]
     fn sweep_trace_ends_with_a_summary_record() {
-        let gen = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_time_limit(Duration::from_secs(30))
-                .with_explicit_jobs(NonZeroUsize::new(2).unwrap()),
+        let cell = cell_of(
+            SynthRequest::new(library::xor2())
+                .time_limit(Duration::from_secs(30))
+                .jobs(NonZeroUsize::new(2).unwrap())
+                .best_area(3),
         );
-        let cell = gen.generate_best_area(library::xor2(), 3).unwrap();
         let last = cell.trace.stages.last().unwrap();
         assert_eq!(last.stage, Stage::Sweep);
         assert_eq!(last.threads, Some(2));
@@ -1315,23 +1184,21 @@ mod tests {
     fn small_sweeps_skip_the_fan_out_unless_jobs_are_explicit() {
         // An *advisory* job count (the available-parallelism default) is
         // gated on small models: the nand4 sweep runs sequentially...
-        let advisory = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_time_limit(Duration::from_secs(30))
-                .with_jobs(NonZeroUsize::new(4).unwrap()),
-        );
-        let cell = advisory.generate_best_area(library::nand4(), 4).unwrap();
+        let advisory = GenOptions::rows(1)
+            .with_time_limit(Duration::from_secs(30))
+            .with_jobs(NonZeroUsize::new(4).unwrap());
+        let cell = cell_of(SynthRequest::with_options(library::nand4(), advisory).best_area(4));
         let sweep = cell.trace.stages.last().unwrap();
         assert_eq!(sweep.stage, Stage::Sweep);
         assert_eq!(sweep.threads, Some(1), "small sweep must not fan out");
         // ...while an explicit --jobs count is honored verbatim, and both
         // paths land on the identical cell.
-        let explicit = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_time_limit(Duration::from_secs(30))
-                .with_explicit_jobs(NonZeroUsize::new(4).unwrap()),
+        let forced = cell_of(
+            SynthRequest::new(library::nand4())
+                .time_limit(Duration::from_secs(30))
+                .jobs(NonZeroUsize::new(4).unwrap())
+                .best_area(4),
         );
-        let forced = explicit.generate_best_area(library::nand4(), 4).unwrap();
         assert_eq!(forced.trace.stages.last().unwrap().threads, Some(4));
         assert_eq!(forced.placement, cell.placement);
         assert_eq!(forced.width, cell.width);
@@ -1367,9 +1234,7 @@ mod tests {
 
     #[test]
     fn generate_records_a_pipeline_trace() {
-        let cell = CellGenerator::new(GenOptions::rows(2))
-            .generate(library::xor2())
-            .unwrap();
+        let cell = cell_of(SynthRequest::new(library::xor2()).rows(2));
         let stages: Vec<crate::pipeline::Stage> =
             cell.trace.stages.iter().map(|s| s.stage).collect();
         use crate::pipeline::Stage::*;
@@ -1385,42 +1250,38 @@ mod tests {
     fn expired_budget_still_returns_the_warm_incumbent() {
         // A zero budget: every solve hits its deadline immediately, but
         // the greedy warm start keeps the pipeline feasible end to end.
-        let gen = CellGenerator::new(GenOptions::rows(2));
-        let cell = gen
-            .generate_with_budget(library::xor2(), &Budget::timeout(Duration::ZERO))
-            .unwrap();
+        let cell = cell_of(
+            SynthRequest::new(library::xor2())
+                .rows(2)
+                .budget(Budget::timeout(Duration::ZERO)),
+        );
         assert!(!cell.optimal);
         crate::verify::check_placement(&cell.units, &cell.placement).unwrap();
     }
 
     #[test]
     fn critical_nets_flow_through_the_generator() {
-        let cell = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_height()
-                .with_critical_nets(vec!["z".into()]),
-        )
-        .generate(library::aoi21())
-        .unwrap();
+        let critical = |net: &str| {
+            cell_of(
+                SynthRequest::new(library::aoi21())
+                    .objective(ObjectiveSpec::width_height().with_critical_nets(vec![net.into()])),
+            )
+        };
+        let cell = critical("z");
         assert!(cell.optimal);
         assert!(cell.height_optimized);
         // Unknown net names are ignored gracefully.
-        let cell = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_height()
-                .with_critical_nets(vec!["no_such_net".into()]),
-        )
-        .generate(library::aoi21())
-        .unwrap();
+        let cell = critical("no_such_net");
         assert!(cell.optimal);
     }
 
     #[test]
     fn time_limit_still_returns_a_cell() {
-        let cell =
-            CellGenerator::new(GenOptions::rows(2).with_time_limit(Duration::from_millis(10)))
-                .generate(library::xor2())
-                .unwrap();
+        let cell = cell_of(
+            SynthRequest::new(library::xor2())
+                .rows(2)
+                .time_limit(Duration::from_millis(10)),
+        );
         // Either proved in time or returned the warm-start incumbent.
         assert!(cell.width >= 3);
     }

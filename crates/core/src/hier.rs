@@ -20,11 +20,14 @@
 //! pairs to their gate — but each ILP is tiny, so circuits far beyond the
 //! flat model's reach (e.g. the 42-transistor `mux41`) lay out in
 //! milliseconds. `experiments hier` quantifies the trade.
+//!
+//! A hierarchical run is a request built with
+//! [`SynthRequest::hierarchical`](crate::request::SynthRequest::hierarchical);
+//! its composition arrives on the result's `hier` field as a [`HierCell`].
 
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use clip_netlist::Circuit;
 use clip_pb::{Budget, Solver, SolverConfig};
 
 use crate::clipw::{ClipW, ClipWOptions};
@@ -32,41 +35,6 @@ use crate::generator::{greedy_placement, GenError};
 use crate::share::ShareArray;
 use crate::solution::{PlacedUnit, Placement};
 use crate::unit::{Unit, UnitSet};
-
-/// Options for hierarchical generation.
-#[derive(Clone, Debug)]
-pub struct HierOptions {
-    /// Requested row count (clamped to the largest sub-cell size).
-    pub rows: usize,
-    /// HCLIP stacking inside each sub-cell.
-    pub stacking: bool,
-    /// Total ILP budget for the request, shared across *all* sub-cell
-    /// solves (a deadline, not a per-solve allowance).
-    pub time_limit: Option<Duration>,
-    /// Worker threads for the sub-cell solves. The partition makes the
-    /// solves fully independent, so fanning them out changes nothing but
-    /// wall-clock time: results are merged in partition order. Defaults
-    /// to [`std::thread::available_parallelism`].
-    pub jobs: NonZeroUsize,
-}
-
-impl HierOptions {
-    /// Defaults for a given row count.
-    pub fn rows(rows: usize) -> Self {
-        HierOptions {
-            rows,
-            stacking: false,
-            time_limit: Some(Duration::from_secs(30)),
-            jobs: crate::generator::default_jobs(),
-        }
-    }
-
-    /// Sets the worker-thread count (`1` disables parallel solves).
-    pub fn with_jobs(mut self, jobs: NonZeroUsize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-}
 
 /// A hierarchical generation result.
 #[derive(Clone, Debug)]
@@ -132,48 +100,22 @@ pub fn partition_by_gates(units: &UnitSet) -> Vec<Vec<usize>> {
     groups.into_values().collect()
 }
 
-/// Generates a layout hierarchically.
-///
-/// Thin shim over [`crate::request::SynthRequest::hierarchical`], kept so
-/// existing callers compile unchanged; prefer the request builder for new
-/// code (it also records a trace and the applied tuning decisions).
+/// Generates a layout hierarchically from a unit set: at most `rows`
+/// rows, sub-cell solves fanned out over `jobs` threads, every solve
+/// drawing on the one `budget`.
 ///
 /// # Errors
 ///
-/// Propagates pairing and per-sub-cell model/solve failures.
-pub fn generate(circuit: Circuit, opts: &HierOptions) -> Result<HierCell, GenError> {
-    let mut options = crate::generator::GenOptions::rows(opts.rows).with_jobs(opts.jobs);
-    options.stacking = opts.stacking;
-    options.time_limit = opts.time_limit;
-    let result = crate::request::SynthRequest::with_options(circuit, options)
-        .hierarchical()
-        .build()?;
-    Ok(result.into_hier().expect("hier mode yields a HierCell"))
-}
-
-/// Generates a layout hierarchically from an existing unit set.
-///
-/// # Errors
-///
-/// See [`generate`].
-pub fn generate_units(units: UnitSet, opts: &HierOptions) -> Result<HierCell, GenError> {
-    generate_units_with_budget(units, opts, &Budget::from_limit(opts.time_limit))
-}
-
-/// [`generate_units`] drawing on an externally supplied [`Budget`]
-/// (shared deadlines across several requests, node pools).
-///
-/// # Errors
-///
-/// See [`generate`].
-pub fn generate_units_with_budget(
+/// Propagates per-sub-cell model/solve failures.
+pub(crate) fn generate_units_with_budget(
     units: UnitSet,
-    opts: &HierOptions,
+    rows: usize,
+    jobs: NonZeroUsize,
     budget: &Budget,
 ) -> Result<HierCell, GenError> {
     let partition = partition_by_gates(&units);
     let max_group = partition.iter().map(Vec::len).max().unwrap_or(1);
-    let rows = opts.rows.clamp(1, max_group);
+    let rows = rows.clamp(1, max_group);
     let share = ShareArray::new(&units);
 
     // Solve each sub-cell against one shared deadline. The sub-cells are
@@ -214,7 +156,7 @@ pub fn generate_units_with_budget(
             .collect();
         Ok((mapped, out.stats().duration, out.is_optimal()))
     };
-    let workers = opts.jobs.get().min(partition.len().max(1));
+    let workers = jobs.get().min(partition.len().max(1));
     let solved = crate::parallel::fan_out(partition.len(), workers, |g| solve_sub(&partition[g]));
     let mut sub_layouts: Vec<Vec<Vec<PlacedUnit>>> = Vec::with_capacity(partition.len());
     let mut solve_time = Duration::ZERO;
@@ -452,8 +394,23 @@ fn greedy_group_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::SynthRequest;
     use crate::verify;
-    use clip_netlist::library;
+    use clip_netlist::{library, Circuit};
+
+    /// A hierarchical request for `circuit` at `rows` rows under a 30 s
+    /// limit.
+    fn hier_request(circuit: Circuit, rows: usize) -> SynthRequest {
+        SynthRequest::new(circuit)
+            .rows(rows)
+            .time_limit(Duration::from_secs(30))
+            .hierarchical()
+    }
+
+    /// Builds a hierarchical `request` and returns its composition.
+    fn hier_of(request: SynthRequest) -> HierCell {
+        request.build().unwrap().hier.unwrap()
+    }
 
     #[test]
     fn partition_recovers_gates() {
@@ -482,7 +439,7 @@ mod tests {
     #[test]
     fn hierarchical_layouts_verify() {
         for rows in [1, 2] {
-            let cell = generate(library::xor2(), &HierOptions::rows(rows)).unwrap();
+            let cell = hier_of(hier_request(library::xor2(), rows));
             verify::check_width(&cell.units, &cell.placement, cell.width)
                 .unwrap_or_else(|e| panic!("rows={rows}: {e}"));
             assert!(cell.subcells_optimal);
@@ -493,10 +450,12 @@ mod tests {
     #[test]
     fn hierarchical_is_no_better_than_flat_optimum() {
         // The partition restricts arrangements: width >= the flat optimum.
-        let flat = crate::generator::CellGenerator::new(crate::generator::GenOptions::rows(2))
-            .generate(library::two_level_z())
-            .unwrap();
-        let hier = generate(library::two_level_z(), &HierOptions::rows(2)).unwrap();
+        let flat = SynthRequest::new(library::two_level_z())
+            .rows(2)
+            .build()
+            .unwrap()
+            .cell;
+        let hier = hier_of(hier_request(library::two_level_z(), 2));
         assert!(hier.width >= flat.width);
     }
 
@@ -504,7 +463,7 @@ mod tests {
     fn scales_to_mux41() {
         // 21 pairs: far beyond the flat ILP's comfortable range, but each
         // gate sub-cell is tiny.
-        let cell = generate(library::mux41(), &HierOptions::rows(2)).unwrap();
+        let cell = hier_of(hier_request(library::mux41(), 2));
         verify::check_width(&cell.units, &cell.placement, cell.width).unwrap();
         assert!(cell.subcells_optimal);
         assert!(cell.width >= 11); // 21 pairs over 2 rows
@@ -515,17 +474,10 @@ mod tests {
     fn parallel_subcell_solves_match_sequential() {
         // The fan-out must be invisible in the result: solves are merged
         // in partition order, so any job count composes identically.
-        let seq = generate(
-            library::mux41(),
-            &HierOptions::rows(2).with_jobs(NonZeroUsize::MIN),
-        )
-        .unwrap();
+        let seq = hier_of(hier_request(library::mux41(), 2).jobs(NonZeroUsize::MIN));
         for jobs in [2usize, 4, 8] {
-            let par = generate(
-                library::mux41(),
-                &HierOptions::rows(2).with_jobs(NonZeroUsize::new(jobs).unwrap()),
-            )
-            .unwrap();
+            let par =
+                hier_of(hier_request(library::mux41(), 2).jobs(NonZeroUsize::new(jobs).unwrap()));
             assert_eq!(par.placement, seq.placement, "jobs={jobs}");
             assert_eq!(par.width, seq.width, "jobs={jobs}");
         }
@@ -534,16 +486,14 @@ mod tests {
     #[test]
     fn row_clamping_handles_small_groups() {
         // Asking for more rows than the largest gate clamps gracefully.
-        let cell = generate(library::xor2(), &HierOptions::rows(4)).unwrap();
+        let cell = hier_of(hier_request(library::xor2(), 4));
         assert!(cell.rows <= 3);
         verify::check_width(&cell.units, &cell.placement, cell.width).unwrap();
     }
 
     #[test]
     fn stacking_composes_with_hierarchy() {
-        let mut opts = HierOptions::rows(2);
-        opts.stacking = true;
-        let cell = generate(library::full_adder(), &opts).unwrap();
+        let cell = hier_of(hier_request(library::full_adder(), 2).stacking());
         verify::check_width(&cell.units, &cell.placement, cell.width).unwrap();
         assert!(!cell.units.is_flat());
     }

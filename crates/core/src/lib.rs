@@ -16,26 +16,27 @@
 //! * [`verify`] — independent combinatorial re-checking of solutions;
 //! * [`pipeline`] — the staged solve pipeline: shared [`pipeline::Budget`]
 //!   deadlines and the per-stage [`pipeline::PipelineTrace`];
-//! * [`generator`] — the top-level [`generator::CellGenerator`] API;
+//! * [`generator`] — the staged per-cell flow (seed, model, solve,
+//!   verify), the best-area row sweep, and the greedy warm start;
 //! * [`objective`] — the typed [`objective::ObjectiveSpec`] every
 //!   objective knob (kind, CLIP-WH ordering, height geometry, inter-row
 //!   weight, critical nets) consolidates into;
 //! * [`pareto`] — the frontier mode: one cell solved across a sweep of
 //!   objective parameterizations, with dominance pruning;
-//! * [`request`] — the consolidated [`request::SynthRequest`] builder
-//!   every synthesis mode funnels through;
-//! * [`tuning`] — the stage-boundary [`tuning::TuningPlan`] consumed
-//!   from learned profiles (see the `clip-tune` crate).
+//! * [`request`] — [`request::SynthRequest`], the one way into the
+//!   generator: every synthesis mode (fixed rows, best-area sweep,
+//!   hierarchical, Pareto frontier) is a request.
 //!
 //! # Example
 //!
 //! ```
-//! use clip_core::generator::{CellGenerator, GenOptions};
+//! use clip_core::request::SynthRequest;
 //! use clip_netlist::library;
 //!
-//! let cell = CellGenerator::new(GenOptions::rows(1))
-//!     .generate(library::nand2())
-//!     .expect("nand2 synthesizes");
+//! let cell = SynthRequest::new(library::nand2())
+//!     .build()
+//!     .expect("nand2 synthesizes")
+//!     .cell;
 //! assert_eq!(cell.width, 2); // fully merged NAND2
 //! ```
 
@@ -61,19 +62,17 @@ pub mod pipeline;
 pub mod request;
 pub mod share;
 pub mod solution;
-pub mod tuning;
 pub mod unit;
 pub mod verify;
 
 pub use cliph::{ClipWH, ClipWHError, ClipWHOptions, WhObjective};
 pub use clipw::{ClipW, ClipWError, ClipWOptions};
-pub use generator::{CellGenerator, GenError, GenOptions, GeneratedCell, Objective};
+pub use generator::{GenError, GenOptions, GeneratedCell, Objective};
 pub use objective::ObjectiveSpec;
 pub use orient::Orient;
 pub use pareto::{ParetoPoint, ParetoResult};
 pub use pipeline::{Budget, ParetoPointRecord, Pipeline, PipelineTrace, Stage, StageRecord};
-pub use request::{AppliedTuning, SynthRequest, SynthResult};
+pub use request::{SynthRequest, SynthResult};
 pub use share::{ShareArray, ShareEntry};
 pub use solution::{PlacedUnit, Placement};
-pub use tuning::TuningPlan;
 pub use unit::{Unit, UnitId, UnitSet};

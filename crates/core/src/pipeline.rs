@@ -151,10 +151,6 @@ pub struct StageRecord {
     /// Per-thread solver statistics for a portfolio solve, in
     /// configuration order (empty when the stage ran one solver).
     pub thread_solves: Vec<SolveStats>,
-    /// The tuning decisions applied to this stage, in the compact
-    /// `TuningPlan` display form. `None` when the stage ran on the
-    /// hardcoded defaults (no profile, or an empty plan).
-    pub tuning: Option<String>,
     /// Per-point outcomes of a Pareto frontier race (only on
     /// [`Stage::Pareto`] records), in spec order.
     pub pareto: Option<Vec<ParetoPointRecord>>,
@@ -175,7 +171,6 @@ impl StageRecord {
             winner_strategy: None,
             shared_prunes: None,
             thread_solves: Vec::new(),
-            tuning: None,
             pareto: None,
         }
     }

@@ -1,20 +1,12 @@
-//! The consolidated synthesis request API.
+//! The synthesis request: the one way into the generator.
 //!
-//! [`SynthRequest`] gathers everything that used to be spread across
-//! [`GenOptions`], an external [`Budget`], `HierOptions`, and ad-hoc
-//! entry points (`generate`, `generate_best_area`, `hier::generate`)
-//! into one builder with one terminal [`SynthRequest::build`]. All the
-//! legacy entry points are now thin shims over this path, so every
-//! request — fixed-row, best-area sweep, hierarchical — flows through
-//! the same budget derivation, tuning-plan application, and trace
-//! collection.
-//!
-//! The request is also where a learned tuning profile plugs in: install
-//! a [`TuningPlan`] with [`SynthRequest::profile`] and the pipeline
-//! consults it at stage boundaries. The plan's levers are constrained to
-//! change *speed only, never results* (see [`crate::tuning`]); the
-//! decisions actually applied come back on [`SynthResult::applied`] and
-//! are stamped into the trace for observability.
+//! [`SynthRequest`] carries a circuit, its [`GenOptions`] (rows, the
+//! [`ObjectiveSpec`], stacking, time limit, jobs), an optional external
+//! [`Budget`], and the mode, with one terminal [`SynthRequest::build`].
+//! Every mode — fixed rows, best-area sweep, hierarchical, Pareto
+//! frontier — flows through the same budget derivation and trace
+//! collection, and every caller (the CLI, `clip serve`, the corpus
+//! driver, the benchmark, the examples) enters here.
 //!
 //! # Example
 //!
@@ -23,8 +15,7 @@
 //! use clip_netlist::library;
 //!
 //! let result = SynthRequest::new(library::mux21()).rows(3).build()?;
-//! assert_eq!(result.cell.width, 3);
-//! assert!(result.applied.plan.is_default()); // no profile installed
+//! assert_eq!(result.cell.width, 3); // paper Table 3: the mux in 3 rows
 //! # Ok::<(), clip_core::generator::GenError>(())
 //! ```
 
@@ -36,10 +27,9 @@ use clip_pb::SolveStats;
 
 use crate::cluster;
 use crate::generator::{CellGenerator, GenError, GenOptions, GeneratedCell};
-use crate::hier::{HierCell, HierOptions};
+use crate::hier::HierCell;
 use crate::objective::ObjectiveSpec;
 use crate::pipeline::{Budget, Pipeline, Stage};
-use crate::tuning::TuningPlan;
 use crate::unit::UnitSet;
 
 /// What shape of synthesis the request runs.
@@ -60,8 +50,8 @@ enum Mode {
     Pareto,
 }
 
-/// A builder-style synthesis request: circuit, options, budget, mode,
-/// and tuning profile in one place.
+/// A builder-style synthesis request: circuit, options, budget, and mode
+/// in one place.
 ///
 /// Construct with [`SynthRequest::new`], chain configuration, finish
 /// with [`SynthRequest::build`].
@@ -75,9 +65,6 @@ pub struct SynthRequest {
     /// means "use [`ObjectiveSpec::default_sweep`] over the request's
     /// base objective", resolved at build time.
     pareto_specs: Vec<ObjectiveSpec>,
-    /// True once the caller set a job count explicitly — a profile's
-    /// `jobs` advice then never overrides it.
-    explicit_jobs: bool,
 }
 
 impl SynthRequest {
@@ -90,14 +77,13 @@ impl SynthRequest {
             budget: None,
             mode: Mode::Fixed,
             pareto_specs: Vec::new(),
-            explicit_jobs: false,
         }
     }
 
-    /// A request carrying a fully-built [`GenOptions`] — the adapter the
-    /// legacy [`CellGenerator`] shims use. The options' job count is
-    /// treated as explicit, so a profile can never change the behavior
-    /// of pre-existing call sites.
+    /// A fixed-row request carrying a fully-built [`GenOptions`]. This is
+    /// how a caller sets an *advisory* job count
+    /// ([`GenOptions::with_jobs`]), which a best-area sweep over a small
+    /// model may decline; [`SynthRequest::jobs`] sets an explicit one.
     pub fn with_options(circuit: Circuit, options: GenOptions) -> Self {
         SynthRequest {
             circuit,
@@ -105,7 +91,6 @@ impl SynthRequest {
             budget: None,
             mode: Mode::Fixed,
             pareto_specs: Vec::new(),
-            explicit_jobs: true,
         }
     }
 
@@ -148,20 +133,9 @@ impl SynthRequest {
 
     /// Installs a fully-built [`ObjectiveSpec`]: objective kind and
     /// ordering, height-model geometry, inter-row weight, and critical
-    /// nets in one typed value. The `height`/`critical_nets`/
-    /// `interrow_weight` builders below are thin shims mutating the same
-    /// spec.
+    /// nets in one typed value.
     pub fn objective(mut self, spec: ObjectiveSpec) -> Self {
         self.options.objective = spec;
-        self
-    }
-
-    /// Switches to the width+height objective (fixed-row mode).
-    ///
-    /// Deprecated shim over [`SynthRequest::objective`]; kept
-    /// byte-identical for existing callers.
-    pub fn height(mut self) -> Self {
-        self.options.objective.kind = crate::generator::Objective::WidthThenHeight;
         self
     }
 
@@ -171,32 +145,12 @@ impl SynthRequest {
         self
     }
 
-    /// Marks nets (by name) as timing-critical for the width+height
-    /// objective.
-    ///
-    /// Deprecated shim over [`SynthRequest::objective`]; kept
-    /// byte-identical for existing callers.
-    pub fn critical_nets(mut self, nets: Vec<String>) -> Self {
-        self.options.objective.critical_nets = nets;
-        self
-    }
-
-    /// Sets the weight on inter-row nets in the width objective.
-    ///
-    /// Deprecated shim over [`SynthRequest::objective`]; kept
-    /// byte-identical for existing callers.
-    pub fn interrow_weight(mut self, weight: i64) -> Self {
-        self.options.objective.interrow_weight = weight;
-        self
-    }
-
-    /// Sets the worker-thread count explicitly. An explicit count always
-    /// wins over a profile's `jobs` advice, and bypasses the small-sweep
-    /// fan-out gate (see [`GenOptions::jobs_explicit`]).
+    /// Sets the worker-thread count explicitly. An explicit count
+    /// bypasses the small-sweep fan-out gate (see
+    /// [`GenOptions::jobs_explicit`]).
     pub fn jobs(mut self, jobs: NonZeroUsize) -> Self {
         self.options.jobs = jobs;
         self.options.jobs_explicit = true;
-        self.explicit_jobs = true;
         self
     }
 
@@ -207,42 +161,21 @@ impl SynthRequest {
         self
     }
 
-    /// Installs a tuning plan, usually distilled from a learned profile
-    /// by `clip-tune`. Plans change speed only, never results; see
-    /// [`crate::tuning`] for the constraints on each lever.
-    pub fn profile(mut self, plan: TuningPlan) -> Self {
-        self.options.tuning = plan;
-        self
-    }
-
     /// Runs the request.
     ///
-    /// The one place every synthesis mode funnels through: the tuning
-    /// plan's `jobs` advice is applied (unless the caller set jobs
-    /// explicitly), the budget is derived (or the supplied one used),
-    /// and the mode dispatches into the staged pipeline.
+    /// The one place every synthesis mode funnels through: the budget is
+    /// derived (or the supplied one used), and the mode dispatches into
+    /// the staged pipeline.
     ///
     /// # Errors
     ///
     /// See [`GenError`].
     pub fn build(mut self) -> Result<SynthResult, GenError> {
-        let plan = self.options.tuning.clone();
-        let mut jobs_from_profile = false;
-        if !self.explicit_jobs {
-            if let Some(jobs) = plan.jobs {
-                self.options.jobs = jobs;
-                jobs_from_profile = true;
-            }
-        }
         let budget = self
             .budget
             .take()
             .unwrap_or_else(|| Budget::from_limit(self.options.time_limit));
         let generator = CellGenerator::new(self.options.clone());
-        let applied = AppliedTuning {
-            plan: plan.clone(),
-            jobs_from_profile,
-        };
         match self.mode {
             Mode::Fixed => {
                 let mut pipeline = Pipeline::new(budget);
@@ -254,7 +187,6 @@ impl SynthRequest {
                     cell,
                     hier: None,
                     pareto: None,
-                    applied,
                 })
             }
             Mode::BestArea { max_rows } => {
@@ -264,7 +196,6 @@ impl SynthRequest {
                     cell,
                     hier: None,
                     pareto: None,
-                    applied,
                 })
             }
             Mode::Pareto => {
@@ -279,7 +210,6 @@ impl SynthRequest {
                     cell,
                     hier: None,
                     pareto: Some(pareto),
-                    applied,
                 })
             }
             Mode::Hier => {
@@ -290,24 +220,16 @@ impl SynthRequest {
                 } else {
                     UnitSet::flat(paired)
                 };
-                let hopts = HierOptions {
-                    rows: self.options.rows,
-                    stacking: self.options.stacking,
-                    time_limit: self.options.time_limit,
-                    jobs: self.options.jobs,
-                };
+                let (rows, jobs) = (self.options.rows, self.options.jobs);
                 let hier = pipeline.stage(Stage::Hier, |budget, rec| {
-                    let result = crate::hier::generate_units_with_budget(units, &hopts, budget);
+                    let result = crate::hier::generate_units_with_budget(units, rows, jobs, budget);
                     if let Ok(h) = &result {
                         rec.rows = Some(h.rows);
-                        rec.threads = Some(hopts.jobs.get().min(h.partition.len().max(1)));
+                        rec.threads = Some(jobs.get().min(h.partition.len().max(1)));
                         rec.solve = Some(SolveStats {
                             duration: h.solve_time,
                             ..SolveStats::default()
                         });
-                        if !self.options.tuning.is_default() {
-                            rec.tuning = Some(self.options.tuning.to_string());
-                        }
                     }
                     result
                 })?;
@@ -333,27 +255,15 @@ impl SynthRequest {
                     cell,
                     hier: Some(hier),
                     pareto: None,
-                    applied,
                 })
             }
         }
     }
 }
 
-/// The tuning decisions a request actually ran with.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AppliedTuning {
-    /// The plan consulted at stage boundaries ([`TuningPlan::default`]
-    /// when no profile was installed or the profile had no advice).
-    pub plan: TuningPlan,
-    /// True when the worker-thread count came from the profile rather
-    /// than the caller.
-    pub jobs_from_profile: bool,
-}
-
-/// What a [`SynthRequest`] produced: the generated cell, the
-/// hierarchical composition details (hier mode only), and the tuning
-/// decisions that were applied.
+/// What a [`SynthRequest`] produced: the generated cell, and the
+/// hierarchical composition or the objective frontier for the modes
+/// that make one.
 #[derive(Clone, Debug)]
 pub struct SynthResult {
     /// The generated cell, with its pipeline trace attached.
@@ -364,21 +274,6 @@ pub struct SynthResult {
     /// The objective frontier, for requests built with
     /// [`SynthRequest::pareto`].
     pub pareto: Option<crate::pareto::ParetoResult>,
-    /// The tuning decisions the request ran with.
-    pub applied: AppliedTuning,
-}
-
-impl SynthResult {
-    /// Consumes the result, yielding the generated cell.
-    pub fn into_cell(self) -> GeneratedCell {
-        self.cell
-    }
-
-    /// Consumes the result, yielding the hierarchical composition
-    /// (`None` unless the request was hierarchical).
-    pub fn into_hier(self) -> Option<HierCell> {
-        self.hier
-    }
 }
 
 #[cfg(test)]
@@ -387,22 +282,14 @@ mod tests {
     use clip_netlist::library;
 
     #[test]
-    fn fixed_request_matches_the_legacy_generator() {
+    fn fixed_request_solves_the_mux_in_three_rows() {
         let result = SynthRequest::new(library::mux21()).rows(3).build().unwrap();
         assert_eq!(result.cell.width, 3);
         assert!(result.hier.is_none());
-        assert!(result.applied.plan.is_default());
-        assert!(!result.applied.jobs_from_profile);
-        let legacy = CellGenerator::new(GenOptions::rows(3))
-            .generate(library::mux21())
-            .unwrap();
-        assert_eq!(result.cell.placement, legacy.placement);
-        assert_eq!(result.cell.width, legacy.width);
-        assert_eq!(result.cell.height, legacy.height);
     }
 
     #[test]
-    fn best_area_request_matches_the_legacy_sweep() {
+    fn best_area_request_ends_with_a_sweep_record() {
         let result = SynthRequest::new(library::xor2())
             .best_area(4)
             .time_limit(Duration::from_secs(30))
@@ -428,53 +315,5 @@ mod tests {
         let rec = &result.cell.trace.stages[1];
         assert_eq!(rec.rows, Some(hier.rows));
         assert!(rec.threads.is_some());
-        assert!(rec.tuning.is_none(), "no profile: no tuning stamp");
-        // The legacy wrapper returns the identical composition.
-        let legacy =
-            crate::hier::generate(library::mux41(), &crate::hier::HierOptions::rows(2)).unwrap();
-        assert_eq!(legacy.placement, hier.placement);
-    }
-
-    #[test]
-    fn profile_jobs_yield_to_explicit_jobs() {
-        let plan = TuningPlan {
-            jobs: NonZeroUsize::new(2),
-            ..TuningPlan::default()
-        };
-        let from_profile = SynthRequest::new(library::nand2())
-            .profile(plan.clone())
-            .build()
-            .unwrap();
-        assert!(from_profile.applied.jobs_from_profile);
-        let explicit = SynthRequest::new(library::nand2())
-            .jobs(NonZeroUsize::MIN)
-            .profile(plan)
-            .build()
-            .unwrap();
-        assert!(!explicit.applied.jobs_from_profile);
-        assert_eq!(explicit.cell.placement, from_profile.cell.placement);
-    }
-
-    #[test]
-    fn tuned_solve_stages_are_stamped() {
-        let plan = TuningPlan {
-            portfolio: Some(vec!["evsids".into()]),
-            ..TuningPlan::default()
-        }
-        .with_source("tiny-sparse-shallow-flat");
-        let result = SynthRequest::new(library::nand2())
-            .profile(plan)
-            .build()
-            .unwrap();
-        let solve = result
-            .cell
-            .trace
-            .stages
-            .iter()
-            .find(|s| s.stage == Stage::Solve)
-            .unwrap();
-        let stamp = solve.tuning.as_deref().unwrap();
-        assert!(stamp.contains("key=tiny-sparse-shallow-flat"), "{stamp}");
-        assert!(stamp.contains("portfolio=evsids"), "{stamp}");
     }
 }

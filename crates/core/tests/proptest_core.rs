@@ -2,7 +2,8 @@
 //! cells (via random series-parallel expressions) must solve to the same
 //! optimum as exhaustive enumeration, and every artifact must verify.
 
-use clip_core::generator::{evaluate_order, greedy_placement, CellGenerator, GenOptions};
+use clip_core::generator::{evaluate_order, greedy_placement};
+use clip_core::request::SynthRequest;
 use clip_core::share::ShareArray;
 use clip_core::unit::UnitSet;
 use clip_core::{exhaustive, verify};
@@ -59,9 +60,12 @@ proptest_lite! {
         prop_assume!(units.len() <= 4 && rows <= units.len());
         let brute = exhaustive::optimal_width(&units, &share, rows)
             .expect("row count validated");
-        let cell = CellGenerator::new(GenOptions::rows(rows))
-            .generate_units(units.clone())
-            .unwrap_or_else(|err| panic!("{err}"));
+        let circuit = e.compile("dut", "z").expect("compiles");
+        let cell = SynthRequest::new(circuit)
+            .rows(rows)
+            .build()
+            .unwrap_or_else(|err| panic!("{err}"))
+            .cell;
         assert!(cell.optimal);
         assert_eq!(cell.width, brute, "expr {e}");
         verify::check_width(&cell.units, &cell.placement, cell.width)
@@ -133,12 +137,15 @@ proptest_lite! {
         let Some((units, _)) = units_of(&e) else { return };
         prop_assume!(units.len() <= 4);
         let circuit = e.compile("dut", "z").expect("compiles");
-        let flat = CellGenerator::new(GenOptions::rows(1))
-            .generate(circuit.clone())
-            .unwrap_or_else(|err| panic!("{err}"));
-        let stacked = CellGenerator::new(GenOptions::rows(1).with_stacking())
-            .generate(circuit)
-            .unwrap_or_else(|err| panic!("{err}"));
+        let flat = SynthRequest::new(circuit.clone())
+            .build()
+            .unwrap_or_else(|err| panic!("{err}"))
+            .cell;
+        let stacked = SynthRequest::new(circuit)
+            .stacking()
+            .build()
+            .unwrap_or_else(|err| panic!("{err}"))
+            .cell;
         assert!(flat.optimal && stacked.optimal);
         // HCLIP restricts arrangements: never narrower than the optimum.
         assert!(stacked.width >= flat.width, "expr {e}");

@@ -7,8 +7,9 @@
 //! complementary — CMOS cells spanning the three topology families the
 //! paper's evaluation exercises (series-parallel formulas, the
 //! non-series-parallel Wheatstone bridge, and flat two-level logic),
-//! stratified so the population covers the `clip-tune` [`FeatureKey`]
-//! space instead of clustering in one corner of it.
+//! stratified so the population covers the [`FeatureKey`] space (size,
+//! net density, chain depth, flat or hier) instead of clustering in one
+//! corner of it.
 //!
 //! Guarantees the downstream corpus driver (`clip bench --corpus`)
 //! relies on:
@@ -25,12 +26,15 @@
 //!   keyed on hashes resumes exactly.
 //!
 //! The stratification targets are in [`strata`]: a 16-entry cycle that
-//! walks topology × size × density × chain-depth × flat-vs-hier, which
-//! is what closes the autotuner's data-starvation loop — a corpus run's
-//! checkpoint doubles as `clip tune` training data with observations in
-//! most reachable buckets (a handful of key points, e.g. `tiny-dense-*`,
+//! walks topology × size × density × chain-depth × flat-vs-hier, so a
+//! corpus run has observations in most reachable keys and its results
+//! can be reported per key (a handful of key points, e.g. `tiny-dense-*`,
 //! are structurally impossible for complementary gates; see
 //! [`reachable_keys`]).
+//!
+//! The keys themselves ([`CircuitFeatures`], [`FeatureKey`]) still live
+//! in the `clip-tune` crate; see its crate doc for why they have not yet
+//! moved here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,7 +107,7 @@ pub struct CorpusCell {
 }
 
 impl CorpusCell {
-    /// The tuner bucket this cell's solve lands in.
+    /// The feature key this cell's solve lands in.
     pub fn key(&self) -> FeatureKey {
         self.features.key(self.mode == Mode::Hier)
     }
@@ -144,7 +148,7 @@ pub struct Stratum {
 
 /// The 16-entry stratification cycle.
 ///
-/// Walks the tuner's key space: tiny/small/medium/large sizes, shallow
+/// Walks the feature-key space: tiny/small/medium/large sizes, shallow
 /// and deep chains, sparse and dense net populations, flat and hier
 /// solves. Cell `i` draws from stratum `i % 16`.
 pub fn strata() -> [Stratum; 16] {

@@ -12,7 +12,7 @@
 //!   a random tail of follow-on stages for population diversity.
 //! * [`Topology::TwoLevel`] — flat AOI/OAI sum-of-products and pure
 //!   NAND/NOR chains (Table 3 circuit 3's family), the reliable source
-//!   of deep and-stacks for the tuner's `deep` buckets.
+//!   of deep and-stacks for the `deep` feature keys.
 
 use clip_netlist::{Circuit, DeviceKind, Expr};
 use clip_rng::Rng;

@@ -195,13 +195,11 @@ pub fn render_cif(layout: &CellLayout) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clip_core::generator::{CellGenerator, GenOptions};
+    use clip_core::request::SynthRequest;
     use clip_netlist::library;
 
     fn layout_of(circuit: clip_netlist::Circuit, rows: usize) -> CellLayout {
-        let cell = CellGenerator::new(GenOptions::rows(rows))
-            .generate(circuit)
-            .unwrap();
+        let cell = SynthRequest::new(circuit).rows(rows).build().unwrap().cell;
         CellLayout::build(&cell)
     }
 

@@ -280,13 +280,11 @@ pub fn parse(text: &str) -> Result<CellDoc, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clip_core::generator::{CellGenerator, GenOptions};
+    use clip_core::request::SynthRequest;
     use clip_netlist::library;
 
     fn layout() -> CellLayout {
-        let cell = CellGenerator::new(GenOptions::rows(1))
-            .generate(library::nand2())
-            .unwrap();
+        let cell = SynthRequest::new(library::nand2()).build().unwrap().cell;
         CellLayout::build(&cell)
     }
 

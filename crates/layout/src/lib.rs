@@ -8,11 +8,11 @@
 //! # Example
 //!
 //! ```
-//! use clip_core::generator::{CellGenerator, GenOptions};
+//! use clip_core::request::SynthRequest;
 //! use clip_layout::CellLayout;
 //! use clip_netlist::library;
 //!
-//! let cell = CellGenerator::new(GenOptions::rows(1)).generate(library::nand2())?;
+//! let cell = SynthRequest::new(library::nand2()).build()?.cell;
 //! let layout = CellLayout::build(&cell);
 //! let art = layout.render();
 //! assert!(art.contains("VDD"));
@@ -124,13 +124,11 @@ impl CellLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clip_core::generator::{CellGenerator, GenOptions};
+    use clip_core::request::SynthRequest;
     use clip_netlist::library;
 
     fn nand2_layout() -> CellLayout {
-        let cell = CellGenerator::new(GenOptions::rows(1))
-            .generate(library::nand2())
-            .unwrap();
+        let cell = SynthRequest::new(library::nand2()).build().unwrap().cell;
         CellLayout::build(&cell)
     }
 
@@ -146,9 +144,11 @@ mod tests {
 
     #[test]
     fn track_counts_match_routing_density() {
-        let cell = CellGenerator::new(GenOptions::rows(3))
-            .generate(library::mux21())
-            .unwrap();
+        let cell = SynthRequest::new(library::mux21())
+            .rows(3)
+            .build()
+            .unwrap()
+            .cell;
         let layout = CellLayout::build(&cell);
         // Left-edge realizes exactly the density the generator reported.
         let reported: usize = cell.tracks.iter().sum();

@@ -28,26 +28,20 @@ pub fn area_saving_percent(baseline: &CellLayout, improved: &CellLayout) -> f64 
 mod tests {
     use super::*;
     use crate::CellLayout;
-    use clip_core::generator::{CellGenerator, GenOptions};
+    use clip_core::request::SynthRequest;
     use clip_netlist::library;
 
     #[test]
     fn area_is_width_times_height() {
-        let cell = CellGenerator::new(GenOptions::rows(1))
-            .generate(library::nand2())
-            .unwrap();
+        let cell = SynthRequest::new(library::nand2()).build().unwrap().cell;
         let layout = CellLayout::build(&cell);
         assert_eq!(area(&layout), layout.width * layout.height);
     }
 
     #[test]
     fn saving_is_signed() {
-        let small = CellGenerator::new(GenOptions::rows(1))
-            .generate(library::nand2())
-            .unwrap();
-        let big = CellGenerator::new(GenOptions::rows(1))
-            .generate(library::mux21())
-            .unwrap();
+        let small = SynthRequest::new(library::nand2()).build().unwrap().cell;
+        let big = SynthRequest::new(library::mux21()).build().unwrap().cell;
         let small = CellLayout::build(&small);
         let big = CellLayout::build(&big);
         assert!(area_saving_percent(&big, &small) > 0.0);

@@ -159,13 +159,11 @@ fn clip(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::CellLayout;
-    use clip_core::generator::{CellGenerator, GenOptions};
+    use clip_core::request::SynthRequest;
     use clip_netlist::library;
 
     fn render_cell(circuit: clip_netlist::Circuit, rows: usize) -> String {
-        let cell = CellGenerator::new(GenOptions::rows(rows))
-            .generate(circuit)
-            .unwrap();
+        let cell = SynthRequest::new(circuit).rows(rows).build().unwrap().cell;
         CellLayout::build(&cell).render()
     }
 

@@ -166,13 +166,11 @@ fn draw_channel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clip_core::generator::{CellGenerator, GenOptions};
+    use clip_core::request::SynthRequest;
     use clip_netlist::library;
 
     fn svg_of(circuit: clip_netlist::Circuit, rows: usize) -> String {
-        let cell = CellGenerator::new(GenOptions::rows(rows))
-            .generate(circuit)
-            .unwrap();
+        let cell = SynthRequest::new(circuit).rows(rows).build().unwrap().cell;
         render_svg(&CellLayout::build(&cell))
     }
 

@@ -17,7 +17,7 @@
 //!              "conflicts_by_class": {"clause": 1, "amo": 0, "card": 0, "linear": 0},
 //!              "plbd_hist": [3, 1, 0, 0, 0, 0, 0, 0],
 //!              "incumbents": [{"at_ns": 3, "objective": 4}]},
-//!    "threads": 2, "winner_strategy": "cbj", "tuning": "seed=off",
+//!    "threads": 2, "winner_strategy": "cbj",
 //!    "shared_prunes": 1, "thread_solves": [{"nodes": 9, "...": "..."}]}
 //! ]}
 //! ```
@@ -31,11 +31,10 @@
 //! Optional fields are omitted when absent or empty and default on
 //! parse: on a stage, the `classes` histogram (how the model's
 //! constraints classify into clause / at-most-one / cardinality /
-//! general-linear) and the `tuning` stamp (the compact rendering of the
-//! applied `TuningPlan`, present only on stages a plan shaped); inside
-//! solver stats, the `props_by_class` / `conflicts_by_class` counters,
-//! the `plbd_hist` array (learned constraints by PLBD bucket 1..=8, last
-//! bucket absorbing deeper), and the `stop_reason` string
+//! general-linear); inside solver stats, the `props_by_class` /
+//! `conflicts_by_class` counters, the `plbd_hist` array (learned
+//! constraints by PLBD bucket 1..=8, last bucket absorbing deeper), and
+//! the `stop_reason` string
 //! (`"deadline"`, `"node_budget"`, `"cancelled"`, or `"panicked"` — why
 //! an unproved search stopped). Version 6 added the `"pareto"` stage
 //! and its per-point `pareto` array on the stage record: each entry
@@ -47,7 +46,9 @@
 //! The parser accepts the current version and the one before it (5,
 //! which lacks only the Pareto fields) and rejects any other version,
 //! or a document without a `schema` key, rather than misread a layout
-//! it does not know.
+//! it does not know. Unknown keys on a stage record are ignored, so a
+//! stage that carries a field this version no longer writes (the
+//! `tuning` stamp of older traces) still parses.
 //!
 //! Durations are integral nanoseconds, so emit → parse → emit is exact.
 //! `clip synth --trace FILE` writes this document, and the bench harness
@@ -268,9 +269,6 @@ pub fn stage_to_value(rec: &StageRecord) -> Json {
     if let Some(w) = &rec.winner_strategy {
         pairs.push(("winner_strategy".into(), Json::Str(w.clone())));
     }
-    if let Some(t) = &rec.tuning {
-        pairs.push(("tuning".into(), Json::Str(t.clone())));
-    }
     if let Some(p) = rec.shared_prunes {
         pairs.push((
             "shared_prunes".into(),
@@ -426,15 +424,6 @@ fn stage_from_value(v: &Json) -> Result<StageRecord, TraceError> {
             .map(stats_from_value)
             .collect::<Result<Vec<_>, TraceError>>()?,
     };
-    // Omitted on untuned stages: stays `None`.
-    let tuning = match v.get("tuning") {
-        None => None,
-        Some(t) => Some(
-            t.as_str()
-                .ok_or_else(|| schema("`tuning` must be a string"))?
-                .to_string(),
-        ),
-    };
     // Absent in schema-5 traces and on non-pareto stages: stays `None`.
     let pareto = match v.get("pareto") {
         None => None,
@@ -461,7 +450,6 @@ fn stage_from_value(v: &Json) -> Result<StageRecord, TraceError> {
         winner_strategy,
         shared_prunes,
         thread_solves,
-        tuning,
         pareto,
     })
 }
@@ -505,14 +493,17 @@ pub fn parse(text: &str) -> Result<PipelineTrace, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clip_core::generator::{CellGenerator, GenOptions};
+    use clip_core::request::SynthRequest;
     use clip_netlist::library;
 
     #[test]
     fn real_generated_trace_round_trips() {
-        let cell = CellGenerator::new(GenOptions::rows(2).with_time_limit(Duration::from_secs(30)))
-            .generate(library::xor2())
-            .unwrap();
+        let cell = SynthRequest::new(library::xor2())
+            .rows(2)
+            .time_limit(Duration::from_secs(30))
+            .build()
+            .unwrap()
+            .cell;
         assert!(!cell.trace.stages.is_empty());
         // The pipeline recorded a solve with its incumbent trajectory.
         let solve = cell
@@ -539,9 +530,12 @@ mod tests {
 
     #[test]
     fn sweep_trace_round_trips_with_row_stamps() {
-        let cell = CellGenerator::new(GenOptions::rows(1).with_time_limit(Duration::from_secs(30)))
-            .generate_best_area(library::xor2(), 3)
-            .unwrap();
+        let cell = SynthRequest::new(library::xor2())
+            .time_limit(Duration::from_secs(30))
+            .best_area(3)
+            .build()
+            .unwrap()
+            .cell;
         let rows_seen: Vec<usize> = cell.trace.stages.iter().filter_map(|s| s.rows).collect();
         assert!(rows_seen.contains(&1) && rows_seen.contains(&3));
         let back = parse(&to_json(&cell.trace)).unwrap();
@@ -551,13 +545,13 @@ mod tests {
     #[test]
     fn parallel_traces_round_trip_with_thread_fields() {
         let jobs = std::num::NonZeroUsize::new(2).unwrap();
-        let cell = CellGenerator::new(
-            GenOptions::rows(2)
-                .with_time_limit(Duration::from_secs(30))
-                .with_jobs(jobs),
-        )
-        .generate(library::xor2())
-        .unwrap();
+        let cell = SynthRequest::new(library::xor2())
+            .rows(2)
+            .time_limit(Duration::from_secs(30))
+            .jobs(jobs)
+            .build()
+            .unwrap()
+            .cell;
         let solve = cell
             .trace
             .stages
@@ -573,13 +567,13 @@ mod tests {
         assert_eq!(back, cell.trace);
         assert_eq!(to_json(&back), text);
         // A sweep trace ends with the summary record carrying the fan-out.
-        let sweep = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_time_limit(Duration::from_secs(30))
-                .with_explicit_jobs(jobs),
-        )
-        .generate_best_area(library::xor2(), 3)
-        .unwrap();
+        let sweep = SynthRequest::new(library::xor2())
+            .time_limit(Duration::from_secs(30))
+            .jobs(jobs)
+            .best_area(3)
+            .build()
+            .unwrap()
+            .cell;
         let back = parse(&to_json(&sweep.trace)).unwrap();
         assert_eq!(back, sweep.trace);
         let last = back.stages.last().unwrap();
@@ -730,15 +724,5 @@ mod tests {
         let bad = r#"{"schema":6,"stages":[{"stage":"pareto","wall_ns":1,
             "pareto":[{"objective":7}]}]}"#;
         assert!(matches!(parse(bad), Err(TraceError::Schema(_))));
-    }
-
-    #[test]
-    fn tuning_stamps_round_trip() {
-        let mut rec = StageRecord::new(Stage::Solve, Some(2));
-        rec.tuning = Some("key=small-sparse-deep-flat seed=off".into());
-        let trace = PipelineTrace { stages: vec![rec] };
-        let text = to_json(&trace);
-        assert!(text.contains("\"tuning\""), "{text}");
-        assert_eq!(parse(&text).unwrap(), trace);
     }
 }

@@ -108,9 +108,7 @@ impl Budget {
     ///
     /// A `divisor` of zero asks for a zero-width slice: the child is
     /// immediately expired (the sub-stage is effectively skipped), not a
-    /// division-by-zero and not a full-remaining grant. This is how a
-    /// tuning profile disables an auxiliary stage without a special case
-    /// at every call site.
+    /// division-by-zero and not a full-remaining grant.
     ///
     /// This is how the pipeline sizes its HCLIP seed solve: a quarter of
     /// whatever is left, at most a few seconds, instead of a hardcoded

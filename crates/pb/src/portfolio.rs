@@ -258,13 +258,6 @@ pub struct PortfolioOutcome {
     pub runs: Vec<(String, SolveStats)>,
 }
 
-/// The reference strategy label: the structure-aware CBJ configuration
-/// that was the solver before portfolios existed. Every sanitized
-/// portfolio contains it, listed first, so a single-slot portfolio is
-/// always exactly the reference solver — a tuning profile can add or
-/// reorder racers, never replace the deterministic baseline.
-pub const REFERENCE_STRATEGY: &str = "cbj";
-
 /// Known strategy labels, in the default racing order. `evsids` is the
 /// CDCL loop (activity branching, Luby restarts, PLBD database
 /// reduction); `cbj-dyn` is CBJ without the model's brancher.
@@ -289,42 +282,15 @@ pub fn named_config(label: &str, base: &SolverConfig) -> Option<SolverConfig> {
     }
 }
 
-/// Sanitizes a requested strategy list into a racing order: unknown
-/// labels are dropped, duplicates keep their first position, and
-/// [`REFERENCE_STRATEGY`] is forced to exist and come first. The result
-/// is never empty, so truncating it to any `cap >= 1` still yields the
-/// reference configuration — this is what keeps profile-driven portfolio
-/// composition a speed lever rather than a result lever.
-pub fn sanitize_strategies(names: &[String]) -> Vec<&'static str> {
-    let mut out: Vec<&'static str> = vec![REFERENCE_STRATEGY];
-    for name in names {
-        if let Some(&known) = STRATEGIES.iter().find(|&&s| s == name.as_str()) {
-            if !out.contains(&known) {
-                out.push(known);
-            }
-        }
-    }
-    out
-}
-
-/// Builds the portfolio for one solve: the sanitized `names` order (the
-/// default [`STRATEGIES`] order when `names` is `None`), each derived
-/// from `base` via [`named_config`], truncated to at most `cap` entries
-/// (at least one — the reference strategy always races).
-pub fn named_configs(
-    base: &SolverConfig,
-    names: Option<&[String]>,
-    cap: usize,
-) -> Vec<(String, SolverConfig)> {
-    let order: Vec<&'static str> = match names {
-        Some(names) => sanitize_strategies(names),
-        None => STRATEGIES.to_vec(),
-    };
-    order
+/// Builds the portfolio for one solve: the [`STRATEGIES`] order, each
+/// derived from `base` via [`named_config`], truncated to at most `cap`
+/// entries (at least one, so `cbj` always races).
+pub fn named_configs(base: &SolverConfig, cap: usize) -> Vec<(String, SolverConfig)> {
+    STRATEGIES
         .into_iter()
         .take(cap.max(1))
         .map(|label| {
-            let config = named_config(label, base).expect("sanitized labels are known");
+            let config = named_config(label, base).expect("STRATEGIES labels are known");
             (label.to_string(), config)
         })
         .collect()
@@ -775,44 +741,21 @@ mod tests {
     }
 
     #[test]
-    fn sanitized_strategies_always_lead_with_the_reference() {
-        let s = |names: &[&str]| -> Vec<String> { names.iter().map(|n| n.to_string()).collect() };
-        // Reordering keeps cbj first; duplicates and unknowns drop out.
-        assert_eq!(
-            sanitize_strategies(&s(&["evsids", "cbj", "evsids", "warp"])),
-            vec!["cbj", "evsids"]
-        );
-        // An empty or fully-unknown request degrades to the reference.
-        assert_eq!(sanitize_strategies(&[]), vec!["cbj"]);
-        assert_eq!(sanitize_strategies(&s(&["warp"])), vec!["cbj"]);
-        assert_eq!(
-            sanitize_strategies(&s(&["cbj-dyn", "evsids"])),
-            vec!["cbj", "cbj-dyn", "evsids"]
-        );
-    }
-
-    #[test]
     fn named_configs_cap_and_derive_from_base() {
         let base = SolverConfig::default();
         // Default order, capped: a one-slot portfolio is the reference.
-        let configs = named_configs(&base, None, 1);
+        let configs = named_configs(&base, 1);
         assert_eq!(configs.len(), 1);
         assert_eq!(configs[0].0, "cbj");
         assert_eq!(configs[0].1.strategy, base.strategy);
         // A zero cap still races the reference strategy.
-        assert_eq!(named_configs(&base, None, 0).len(), 1);
+        assert_eq!(named_configs(&base, 0).len(), 1);
         // Full default order matches STRATEGIES.
-        let labels: Vec<String> = named_configs(&base, None, 8)
+        let labels: Vec<String> = named_configs(&base, 8)
             .into_iter()
             .map(|(l, _)| l)
             .collect();
         assert_eq!(labels, STRATEGIES.to_vec());
-        // A named order flows through, sanitized, with derived configs.
-        let names = vec!["cbj-dyn".to_string()];
-        let configs = named_configs(&base, Some(&names), 8);
-        assert_eq!(configs.len(), 2);
-        assert_eq!(configs[1].0, "cbj-dyn");
-        assert!(configs[1].1.brancher.is_none());
         assert!(named_config("warp", &base).is_none());
         // "evsids" is the CDCL loop; the retired "cdcl" label is unknown.
         let cdcl = named_config("evsids", &base).unwrap();

@@ -1,34 +1,21 @@
-//! Trace-driven autotuning for the CLIP pipeline.
+//! Circuit feature keys for the CLIP corpus.
 //!
-//! The generation pipeline exposes a handful of speed levers — whether
-//! the HCLIP warm-start seed is worth its budget slice, how the solver
-//! portfolio is composed, how wide to fan out — whose best settings
-//! depend on the *shape* of the circuit being synthesized. This crate
-//! closes the loop over the observability the pipeline already has:
+//! [`features`] distills a circuit into a coarse [`FeatureKey`]: pair-count
+//! size class, net density, series-chain depth, and flat vs.
+//! hierarchical request. `clip-corpus` stratifies its generated
+//! population over these keys, corpus checkpoints record each cell's key,
+//! and `BENCH_corpus.json` reports results per key.
 //!
-//! 1. [`features`] distills a circuit into a coarse [`FeatureKey`]
-//!    (size, net density, series-chain depth, flat vs. hierarchical);
-//! 2. [`learn()`] aggregates historical bench JSONL — the tuner-training
-//!    records `clip-bench` emits alongside its measurements — into a
-//!    persisted, schema-versioned [`TuningProfile`];
-//! 3. [`profile`] looks a request's key up in the profile and distills
-//!    the matching entry into a `clip_core::tuning::TuningPlan`
-//!    ([`TuningProfile::plan_for`]), falling back to the hardcoded
-//!    defaults when nothing matches.
-//!
-//! The CLI drives the loop end to end: `clip tune results.jsonl -o
-//! profile.json` learns a profile, `clip synth --profile profile.json`
-//! applies it. Plans change *speed only, never results* — see
-//! `clip_core::tuning` for the constraints on each lever, and the
-//! pinned determinism tests in the workspace root.
+//! The keys belong in `clip-corpus`, their one user. They stay in this
+//! crate for now because the benchmark package builds against a frozen
+//! lock file (`benchmark/Cargo.lock`) that records `clip-corpus →
+//! clip-tune → {clip-core, clip-layout, clip-netlist}`: moving the module
+//! or dropping one of those edges changes that lock, so the move waits
+//! for the benchmark's next change.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod features;
-pub mod learn;
-pub mod profile;
 
 pub use features::{ChainBucket, CircuitFeatures, FeatureKey, NetBucket, SizeBucket};
-pub use learn::learn;
-pub use profile::{ProfileEntry, ProfileError, TuningProfile, PROFILE_SCHEMA};

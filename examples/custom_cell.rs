@@ -8,7 +8,8 @@
 
 use std::time::Duration;
 
-use clip::core::generator::{CellGenerator, GenOptions};
+use clip::core::request::SynthRequest;
+use clip::core::ObjectiveSpec;
 use clip::layout::CellLayout;
 use clip::netlist::Expr;
 
@@ -25,12 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.nets().len()
     );
 
-    let cell = CellGenerator::new(
-        GenOptions::rows(rows)
-            .with_height()
-            .with_time_limit(Duration::from_secs(60)),
-    )
-    .generate(circuit)?;
+    let cell = SynthRequest::new(circuit)
+        .rows(rows)
+        .objective(ObjectiveSpec::width_height())
+        .time_limit(Duration::from_secs(60))
+        .build()?
+        .cell;
     println!(
         "width {} / height {} ({} tracks), optimal: {}, height in objective: {}",
         cell.width,

@@ -9,8 +9,7 @@
 use std::time::Duration;
 
 use clip::core::cliph::{ClipWH, ClipWHOptions};
-use clip::core::generator::{CellGenerator, GenOptions};
-use clip::core::hier::{generate as hier_generate, HierOptions};
+use clip::core::request::SynthRequest;
 use clip::core::share::ShareArray;
 use clip::core::unit::UnitSet;
 use clip::netlist::fold::fold_uniform;
@@ -23,8 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for k in 1..=3usize {
         let paired = library::nand2().into_paired()?;
         let folded = fold_uniform(&paired, k)?;
-        let cell = CellGenerator::new(GenOptions::rows(1).with_stacking())
-            .generate(folded.circuit().clone())?;
+        let cell = SynthRequest::new(folded.circuit().clone())
+            .stacking()
+            .build()?
+            .cell;
         println!(
             "   nand2 x{k} fingers: {} pairs, width {} (device width scales 1/{k})",
             folded.len(),
@@ -34,7 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. Hierarchical generation --------------------------------------
     println!("\n2. Hierarchical generation ([9] direction) on mux41 (42T)");
-    let hier = hier_generate(library::mux41(), &HierOptions::rows(2))?;
+    let hier = SynthRequest::new(library::mux41())
+        .rows(2)
+        .time_limit(Duration::from_secs(30))
+        .hierarchical()
+        .build()?
+        .hier
+        .expect("a hierarchical request yields its composition");
     println!(
         "   partition: {} gate sub-cells, composite width {} in {} rows, solved in {:?}",
         hier.partition.len(),

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use clip::core::generator::{CellGenerator, GenOptions};
+use clip::core::request::SynthRequest;
 use clip::core::share::ShareArray;
 use clip::core::unit::UnitSet;
 use clip::layout::CellLayout;
@@ -48,9 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The placements the paper's Table 3 row 4 is about.
     for rows in [1, 3] {
-        let cell =
-            CellGenerator::new(GenOptions::rows(rows).with_time_limit(Duration::from_secs(60)))
-                .generate(circuit.clone())?;
+        let cell = SynthRequest::new(circuit.clone())
+            .rows(rows)
+            .time_limit(Duration::from_secs(60))
+            .build()?
+            .cell;
         println!(
             "\n=== {rows} row(s): width {} ({}), {} inter-row nets, solved in {:?}",
             cell.width,

@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use clip::core::generator::{CellGenerator, GenOptions};
+use clip::core::request::SynthRequest;
 use clip::layout::CellLayout;
 use clip::netlist::library;
 
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Generate an optimal single-row layout (CLIP-W).
-    let cell = CellGenerator::new(GenOptions::rows(1)).generate(circuit)?;
+    let cell = SynthRequest::new(circuit).rows(1).build()?.cell;
     println!(
         "optimal width: {} pitches (proved: {}), {} ILP vars / {} constraints, {:?}",
         cell.width, cell.optimal, cell.model_vars, cell.model_constraints, cell.stats.duration

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use clip::core::generator::{CellGenerator, GenOptions};
+use clip::core::request::SynthRequest;
 use clip::netlist::library;
 
 fn circuit_by_name(name: &str) -> clip::netlist::Circuit {
@@ -43,9 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "rows", "width", "height", "area", "inter-nets", "optimal", "time"
     );
     for rows in 1..=max_rows {
-        let gen =
-            CellGenerator::new(GenOptions::rows(rows).with_time_limit(Duration::from_secs(30)));
-        match gen.generate(circuit.clone()) {
+        let request = SynthRequest::new(circuit.clone())
+            .rows(rows)
+            .time_limit(Duration::from_secs(30));
+        match request.build().map(|r| r.cell) {
             Ok(cell) => println!(
                 "{:<6} {:<7} {:<7} {:<6} {:<11} {:<9} {:<10?}",
                 rows,

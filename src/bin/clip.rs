@@ -6,8 +6,6 @@
 //! clip synth --expr "(a&b|c)'" --rows 2 --height --svg out.svg
 //! clip synth --cell nand4 --rows 2 --pareto    emit the objective frontier
 //! clip synth --spice cell.sp --stacking --json out.json
-//! clip tune results/bench.jsonl -o profile.json   learn a tuning profile
-//! clip synth --cell xor2 --profile profile.json   synthesize with it
 //! ```
 
 use std::num::NonZeroUsize;
@@ -15,13 +13,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use clip::core::request::SynthRequest;
-use clip::core::tuning::TuningPlan;
 use clip::core::ObjectiveSpec;
 use clip::layout::CellLayout;
 use clip::netlist::fold::fold_uniform;
 use clip::netlist::{library, spice, Circuit, Expr};
 use clip::serve::daemon::{Bind, ServeConfig, Server};
-use clip::tune::{learn, CircuitFeatures, TuningProfile};
 
 struct SynthArgs {
     circuit: Option<Circuit>,
@@ -43,7 +39,6 @@ struct SynthArgs {
     cif: Option<String>,
     trace: Option<String>,
     critical: Vec<String>,
-    profile: Option<String>,
     quiet: bool,
 }
 
@@ -69,7 +64,6 @@ impl Default for SynthArgs {
             cif: None,
             trace: None,
             critical: Vec::new(),
-            profile: None,
             quiet: false,
         }
     }
@@ -81,14 +75,6 @@ fn main() -> ExitCode {
         Some("cells") => cells(),
         Some("synth") => match parse_synth(&args[1..]) {
             Ok(a) => synth(a),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::from(2)
-            }
-        },
-        Some("tune") => match parse_tune(&args[1..]) {
-            Ok((input, out)) => tune(&input, &out),
             Err(e) => {
                 eprintln!("error: {e}");
                 usage();
@@ -127,13 +113,12 @@ fn usage() {
     eprintln!(
         "usage:\n  clip cells\n  clip synth (--cell NAME | --expr FORMULA | --spice FILE) \
          [--rows N|auto] [--stacking]\n             [--limit SECS] [--fold K] \
-         [--jobs N] [--profile FILE]\n             [--svg FILE] \
+         [--jobs N]\n             [--svg FILE] \
          [--json FILE] [--cif FILE] [--trace FILE] [--quiet]\n    \
          objective options:\n             [--height] [--objective \
          width|width-height|height-width|weighted:W:H]\n             [--track-pitch N] \
          [--diffusion-overhead N] [--rail-overhead N]\n             [--interrow-weight W] \
-         [--critical NET]... [--pareto]\n  clip tune INPUT.jsonl \
-         [-o FILE]     learn a tuning profile from bench JSONL\n  clip bench --corpus \
+         [--critical NET]... [--pareto]\n  clip bench --corpus \
          --checkpoint FILE [--seed N] [--cells N] [--shards N]\n             [--budget SECS] \
          [--summary FILE] [--quiet]   sharded, resumable corpus run\n  clip serve \
          [--listen HOST:PORT | --unix PATH] [--workers N] [--queue N]\n             \
@@ -244,7 +229,6 @@ fn parse_synth(args: &[String]) -> Result<SynthArgs, String> {
             "--json" => out.json = Some(take(&mut i)?),
             "--cif" => out.cif = Some(take(&mut i)?),
             "--trace" => out.trace = Some(take(&mut i)?),
-            "--profile" => out.profile = Some(take(&mut i)?),
             other => return Err(format!("unknown flag {other}")),
         }
         i += 1;
@@ -309,34 +293,9 @@ fn synth(mut args: SynthArgs) -> ExitCode {
         }
     }
 
-    // Distill a tuning plan from the profile (if any) before the circuit
-    // moves into the request. An unknown shape gets the default plan, so
-    // a stale profile can only cost speed, never change results.
-    let mut plan = TuningPlan::default();
-    if let Some(path) = &args.profile {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let profile = match TuningProfile::parse(&text) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(features) = CircuitFeatures::extract(&circuit) {
-            plan = profile.plan_for(&features.key(false));
-        }
-    }
-
     let mut request = SynthRequest::new(circuit)
         .rows(args.rows)
         .time_limit(args.limit)
-        .profile(plan)
         .objective(objective_from_args(&args));
     if args.stacking {
         request = request.stacking();
@@ -359,9 +318,6 @@ fn synth(mut args: SynthArgs) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if !args.quiet && !result.applied.plan.is_default() {
-        println!("tuning: {}", result.applied.plan);
-    }
     let cell = result.cell;
     let layout = CellLayout::build(&cell);
 
@@ -595,58 +551,4 @@ fn serve(config: ServeConfig, port_file: Option<&str>) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn parse_tune(args: &[String]) -> Result<(String, String), String> {
-    let mut input: Option<String> = None;
-    let mut out = "profile.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-o" | "--out" => {
-                i += 1;
-                out = args
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("{} needs a value", args[i - 1]))?;
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
-            path => {
-                if input.replace(path.to_string()).is_some() {
-                    return Err("tune takes exactly one INPUT.jsonl".into());
-                }
-            }
-        }
-        i += 1;
-    }
-    Ok((input.ok_or("tune needs an INPUT.jsonl argument")?, out))
-}
-
-fn tune(input: &str, out: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(input) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let profile = match learn(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if profile.is_empty() {
-        eprintln!("warning: {input} holds no training records (lines with \"feature_key\")");
-    }
-    if let Err(e) = std::fs::write(out, profile.to_json()) {
-        eprintln!("error: {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "learned {} bucket(s) from {input}; wrote {out}",
-        profile.len()
-    );
-    ExitCode::SUCCESS
 }

@@ -13,11 +13,11 @@
 //! # Example
 //!
 //! ```
-//! use clip::core::generator::{CellGenerator, GenOptions};
+//! use clip::core::request::SynthRequest;
 //! use clip::netlist::library;
 //!
 //! // The paper's Fig. 2 multiplexer, placed optimally in three rows.
-//! let cell = CellGenerator::new(GenOptions::rows(3)).generate(library::mux21())?;
+//! let cell = SynthRequest::new(library::mux21()).rows(3).build()?.cell;
 //! assert_eq!(cell.width, 3); // Table 3: the mux is 3 pitches wide in 3 rows
 //! assert!(cell.optimal);
 //! # Ok::<(), clip::core::generator::GenError>(())
@@ -44,5 +44,3 @@ pub use clip_pb as pb;
 pub use clip_route as route;
 /// The batch synthesis daemon: wire protocol, memo cache, fault sites.
 pub use clip_serve as serve;
-/// Trace-driven autotuning: circuit features, learned profiles, plans.
-pub use clip_tune as tune;

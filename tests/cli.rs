@@ -123,85 +123,7 @@ fn trace_flag_writes_stage_records_within_the_budget() {
 }
 
 #[test]
-fn tune_learns_a_profile_that_synth_applies() {
-    // End-to-end over the committed smoke results: learn a profile from
-    // the checked-in bench JSONL, then synthesize with it. Integration
-    // tests of the root package run with the repo root as cwd.
-    let dir = std::env::temp_dir().join(format!("clip_cli_tune_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let profile = dir.join("profile.json");
-    let out = clip()
-        .args([
-            "tune",
-            "results/bench_smoke.jsonl",
-            "-o",
-            profile.to_str().expect("utf8 path"),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("bucket(s)"), "{text}");
-    let doc = std::fs::read_to_string(&profile).expect("profile written");
-    assert!(doc.contains("\"schema\": 1"), "{doc}");
-    assert!(doc.contains("small-sparse-shallow-flat"), "{doc}");
-
-    let out = clip()
-        .args([
-            "synth",
-            "--cell",
-            "xor2",
-            "--rows",
-            "2",
-            "--limit",
-            "60",
-            "--profile",
-            profile.to_str().expect("utf8 path"),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    // The tuning line names its source bucket, and the geometry matches
-    // the untuned run from `synth_renders_a_cell`.
-    assert!(
-        text.contains("tuning: key=small-sparse-shallow-flat"),
-        "{text}"
-    );
-    assert!(text.contains("width 3 pitches"), "{text}");
-    assert!(text.contains("proved optimal"), "{text}");
-
-    // A profile that exists but has no matching bucket stays silent.
-    let empty = dir.join("empty.json");
-    std::fs::write(&empty, "{\n  \"schema\": 1,\n  \"entries\": {}\n}").expect("written");
-    let out = clip()
-        .args([
-            "synth",
-            "--cell",
-            "xor2",
-            "--rows",
-            "2",
-            "--profile",
-            empty.to_str().expect("utf8 path"),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(!text.contains("tuning:"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_corpus_resumes_and_feeds_tune() {
+fn bench_corpus_resumes_from_its_checkpoint() {
     let dir = std::env::temp_dir().join(format!("clip_cli_corpus_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let ck = dir.join("corpus.jsonl");
@@ -276,20 +198,6 @@ fn bench_corpus_resumes_and_feeds_tune() {
     assert_eq!(hashes.len(), 6, "{jsonl}");
     let unique: std::collections::BTreeSet<_> = hashes.iter().collect();
     assert_eq!(unique.len(), 6, "{jsonl}");
-
-    // The checkpoint doubles as tuner training data.
-    let profile = dir.join("profile.json");
-    let out = clip()
-        .args(["tune", ck_arg, "-o", profile.to_str().expect("utf8 path")])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = std::fs::read_to_string(&profile).expect("profile written");
-    assert!(doc.contains("\"schema\": 1"), "{doc}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -341,6 +249,23 @@ fn bad_flags_fail_with_usage() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+
+    // There is no tuning profile flag and no `tune` command.
+    let out = clip()
+        .args(["synth", "--cell", "xor2", "--profile", "p.json"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag"), "{err}");
+
+    let out = clip()
+        .args(["tune", "x.jsonl"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command"), "{err}");
 }
 
 #[test]

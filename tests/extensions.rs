@@ -4,27 +4,40 @@
 use std::time::Duration;
 
 use clip::core::cliph::{ClipWH, ClipWHOptions};
-use clip::core::generator::{CellGenerator, GenOptions};
-use clip::core::hier::{generate as hier_generate, HierOptions};
+use clip::core::hier::HierCell;
+use clip::core::request::SynthRequest;
 use clip::core::share::ShareArray;
 use clip::core::unit::UnitSet;
 use clip::core::verify;
+use clip::core::GenError;
 use clip::netlist::fold::fold_uniform;
-use clip::netlist::library;
+use clip::netlist::{library, Circuit};
 use clip::pb::{BranchHeuristic, Solver, SolverConfig};
+
+/// Lays `circuit` out hierarchically in at most `rows` rows, under a
+/// 30 s limit shared by every sub-cell solve.
+fn hier(circuit: Circuit, rows: usize) -> Result<HierCell, GenError> {
+    let result = SynthRequest::new(circuit)
+        .rows(rows)
+        .time_limit(Duration::from_secs(30))
+        .hierarchical()
+        .build()?;
+    Ok(result
+        .hier
+        .expect("a hierarchical request yields its composition"))
+}
 
 #[test]
 fn folded_circuits_synthesize_and_verify() {
     for k in [2usize, 3] {
         let paired = library::nand2().into_paired().unwrap();
         let folded = fold_uniform(&paired, k).unwrap();
-        let cell = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_stacking()
-                .with_time_limit(Duration::from_secs(30)),
-        )
-        .generate(folded.circuit().clone())
-        .unwrap();
+        let cell = SynthRequest::new(folded.circuit().clone())
+            .stacking()
+            .time_limit(Duration::from_secs(30))
+            .build()
+            .unwrap()
+            .cell;
         verify::check_placement(&cell.units, &cell.placement).unwrap();
         // Fingers abut fully: a folded NAND2 keeps zero gaps.
         assert_eq!(cell.width, 2 * k, "fold {k}");
@@ -39,8 +52,7 @@ fn hierarchical_results_verify_across_the_suite() {
         library::full_adder(),
     ] {
         let name = circuit.name().to_owned();
-        let cell =
-            hier_generate(circuit, &HierOptions::rows(2)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let cell = hier(circuit, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
         verify::check_width(&cell.units, &cell.placement, cell.width)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(cell.subcells_optimal, "{name}");
@@ -50,7 +62,7 @@ fn hierarchical_results_verify_across_the_suite() {
 #[test]
 fn hierarchy_scales_where_flat_cannot() {
     // 21 pairs: the flat ILP would need minutes; the hierarchy is instant.
-    let cell = hier_generate(library::mux41(), &HierOptions::rows(3)).unwrap();
+    let cell = hier(library::mux41(), 3).unwrap();
     assert!(cell.solve_time < Duration::from_secs(10));
     verify::check_width(&cell.units, &cell.placement, cell.width).unwrap();
     // 21 total width over 3 rows: lower bound 7.

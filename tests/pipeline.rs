@@ -4,10 +4,10 @@
 use std::time::Duration;
 
 use clip::baselines;
-use clip::core::generator::{CellGenerator, GenOptions};
+use clip::core::request::SynthRequest;
 use clip::core::share::ShareArray;
 use clip::core::unit::UnitSet;
-use clip::core::{exhaustive, verify};
+use clip::core::{exhaustive, verify, ObjectiveSpec};
 use clip::layout::CellLayout;
 use clip::netlist::library;
 use clip::route::density::CellRouting;
@@ -23,10 +23,12 @@ fn generator_results_verify_end_to_end() {
         }
         for rows in 1..=3usize.min(pairs) {
             let name = format!("{}x{rows}", circuit.name());
-            let cell =
-                CellGenerator::new(GenOptions::rows(rows).with_time_limit(Duration::from_secs(30)))
-                    .generate(circuit.clone())
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let cell = SynthRequest::new(circuit.clone())
+                .rows(rows)
+                .time_limit(Duration::from_secs(30))
+                .build()
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .cell;
             verify::check_placement(&cell.units, &cell.placement)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(
@@ -66,9 +68,11 @@ fn ilp_matches_exhaustive_oracle() {
         for rows in 1..=2usize.min(units.len()) {
             let name = format!("{}x{rows}", circuit.name());
             let brute = exhaustive::optimal_width(&units, &share, rows).unwrap();
-            let cell = CellGenerator::new(GenOptions::rows(rows))
-                .generate(circuit.clone())
-                .unwrap();
+            let cell = SynthRequest::new(circuit.clone())
+                .rows(rows)
+                .build()
+                .unwrap()
+                .cell;
             assert!(cell.optimal, "{name}");
             assert_eq!(cell.width, brute, "{name}");
         }
@@ -91,10 +95,12 @@ fn optimizer_dominates_greedy_baseline() {
         for rows in 2..=3 {
             let name = format!("{}x{rows}", circuit.name());
             let greedy = baselines::greedy2d(&units, &share, rows).unwrap();
-            let cell =
-                CellGenerator::new(GenOptions::rows(rows).with_time_limit(Duration::from_secs(30)))
-                    .generate(circuit.clone())
-                    .unwrap();
+            let cell = SynthRequest::new(circuit.clone())
+                .rows(rows)
+                .time_limit(Duration::from_secs(30))
+                .build()
+                .unwrap()
+                .cell;
             assert!(
                 cell.width <= greedy.width,
                 "{name}: CLIP {} vs greedy {}",
@@ -110,9 +116,11 @@ fn optimizer_dominates_greedy_baseline() {
     let units = UnitSet::flat(library::mux21().into_paired().unwrap());
     let share = ShareArray::new(&units);
     let random = baselines::random_placement(&units, &share, 3, 7).unwrap();
-    let cell = CellGenerator::new(GenOptions::rows(3))
-        .generate(library::mux21())
-        .unwrap();
+    let cell = SynthRequest::new(library::mux21())
+        .rows(3)
+        .build()
+        .unwrap()
+        .cell;
     assert!(cell.width <= random.width);
     let _ = strictly_better; // witnessed but not required on every cell
 }
@@ -123,13 +131,12 @@ fn optimizer_dominates_greedy_baseline() {
 fn hclip_shrinks_models_and_stays_legal() {
     for circuit in [library::nand4(), library::aoi22(), library::full_adder()] {
         let name = circuit.name().to_owned();
-        let stacked = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_stacking()
-                .with_time_limit(Duration::from_secs(30)),
-        )
-        .generate(circuit.clone())
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let stacked = SynthRequest::new(circuit.clone())
+            .stacking()
+            .time_limit(Duration::from_secs(30))
+            .build()
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .cell;
         verify::check_placement(&stacked.units, &stacked.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         // Expanding stacks preserves the transistor count.
@@ -150,9 +157,11 @@ fn hclip_shrinks_models_and_stays_legal() {
 /// The rendered layout and the JSON export agree with the generated cell.
 #[test]
 fn layout_realization_round_trips() {
-    let cell = CellGenerator::new(GenOptions::rows(2))
-        .generate(library::two_level_z())
-        .unwrap();
+    let cell = SynthRequest::new(library::two_level_z())
+        .rows(2)
+        .build()
+        .unwrap()
+        .cell;
     let layout = CellLayout::build(&cell);
     assert_eq!(layout.width, cell.width);
     assert_eq!(layout.height, cell.height);
@@ -170,16 +179,13 @@ fn layout_realization_round_trips() {
 fn height_objective_improves_tracks() {
     for circuit in [library::nand3(), library::aoi22(), library::nor3()] {
         let name = circuit.name().to_owned();
-        let w_only = CellGenerator::new(GenOptions::rows(1))
-            .generate(circuit.clone())
-            .unwrap();
-        let wh = CellGenerator::new(
-            GenOptions::rows(1)
-                .with_height()
-                .with_time_limit(Duration::from_secs(30)),
-        )
-        .generate(circuit)
-        .unwrap();
+        let w_only = SynthRequest::new(circuit.clone()).build().unwrap().cell;
+        let wh = SynthRequest::new(circuit)
+            .objective(ObjectiveSpec::width_height())
+            .time_limit(Duration::from_secs(30))
+            .build()
+            .unwrap()
+            .cell;
         assert_eq!(wh.width, w_only.width, "{name}: lexicographic width");
         if wh.optimal {
             assert!(
@@ -204,9 +210,13 @@ fn best_area_sweep_shares_one_budget() {
     // jobs=1: with parallel rows the per-stage walls overlap, so their
     // sum (asserted below) is only meaningful for a sequential sweep.
     let jobs = std::num::NonZeroUsize::MIN;
-    let cell = CellGenerator::new(GenOptions::rows(1).with_time_limit(budget).with_jobs(jobs))
-        .generate_best_area(library::full_adder(), 4)
-        .unwrap();
+    let cell = SynthRequest::new(library::full_adder())
+        .time_limit(budget)
+        .jobs(jobs)
+        .best_area(4)
+        .build()
+        .unwrap()
+        .cell;
     let elapsed = start.elapsed();
     // Generous slop: non-solver stages (greedy seed, routing, verify)
     // run outside the deadline loop, but nowhere near 4x the budget.
@@ -253,11 +263,7 @@ fn spice_import_matches_library() {
     let original = library::two_level_z();
     let text = clip::netlist::spice::write(&original);
     let imported = clip::netlist::spice::parse("two_level_z", &text).unwrap();
-    let a = CellGenerator::new(GenOptions::rows(2))
-        .generate(original)
-        .unwrap();
-    let b = CellGenerator::new(GenOptions::rows(2))
-        .generate(imported)
-        .unwrap();
+    let a = SynthRequest::new(original).rows(2).build().unwrap().cell;
+    let b = SynthRequest::new(imported).rows(2).build().unwrap().cell;
     assert_eq!(a.width, b.width);
 }
